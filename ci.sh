@@ -14,7 +14,7 @@
 set -uo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt clippy build test kernel-equivalence diff-equivalence trace-validate analyze determinism fault-soak serve-soak monitor watch shot-alloc bench-smoke)
+ALL_STAGES=(fmt clippy build test kernel-equivalence diff-equivalence trace-validate analyze determinism fault-soak monitor watch shot-alloc bench-smoke)
 
 stage_fmt() {
     cargo fmt --all -- --check
@@ -117,17 +117,6 @@ stage_fault_soak() {
     # drift): must converge with every retry accounted for, zero panics.
     QOC_TRACE_FILE=results/ci_soak.jsonl \
         cargo run --offline --release -p qoc-bench --bin fault_soak
-}
-
-stage_serve_soak() {
-    # Multi-tenant serving plane under fire: ~200 interleaved jobs across
-    # 3 tenants on a pool of fault-injected fake devices, with admission
-    # backpressure and mid-flight preemptions. Gates: zero give-ups, every
-    # job bit-identical to a solo run, quotas respected, and the status
-    # doc's per-tenant counters reconciled to the nanosecond. Report lands
-    # in results/serve_soak.json.
-    cargo run --offline --release -p qoc-bench --bin serve_soak -- --ci \
-        --out results/serve_soak.json
 }
 
 stage_monitor() {

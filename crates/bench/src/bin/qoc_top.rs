@@ -167,27 +167,9 @@ fn render(doc: &Value, losses: &[f64]) -> String {
         get_u64(doc, &["pool", "hits"]),
         get_u64(doc, &["pool", "misses"]),
     ));
-    // Multi-tenant serving rows (only when a qoc-serve host publishes
-    // per-tenant counters into the status doc).
-    if let Some(tenants) = doc.get("tenants").and_then(Value::as_object) {
-        out.push_str("  tenants\n");
-        for (tenant, fields) in tenants {
-            let field = |k: &str| fields.get(k).and_then(Value::as_u64).unwrap_or(0);
-            out.push_str(&format!(
-                "    {tenant:<12} {:>4} done  {:>3} running  {:>3} queued  {:>3} preempted  \
-                 {:>3} rejected  {:.3} s on-device\n",
-                field("completed"),
-                field("running"),
-                field("queued"),
-                field("preempted"),
-                field("rejected"),
-                field("device_ns") as f64 / 1e9,
-            ));
-        }
-    }
-    // SLO alerts (only when rules are installed — QOC_ALERT_RULES or a
-    // serve host's defaults). Active firings render in red so a glance at
-    // the dashboard catches a sick run.
+    // Alerts (only when the exporter has rules installed, via
+    // QOC_ALERT_RULES). Active firings render in red so a glance at the
+    // dashboard catches a sick run.
     if let Some(alerts) = doc.get("alerts") {
         let active = alerts
             .get("active")

@@ -254,65 +254,6 @@ struct StatsBase {
     nanos: u64,
 }
 
-/// Cumulative device usage at an observer callback, in the same exact
-/// integer units the run manifest and status snapshots are built from
-/// (resume base + this process; see [`TrainObserver`]).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct DeviceCounters {
-    /// Circuits executed so far.
-    pub circuits_run: u64,
-    /// Measurement shots taken so far.
-    pub total_shots: u64,
-    /// Estimated on-device nanoseconds so far.
-    pub device_ns: u64,
-}
-
-/// Per-run telemetry anchor: callbacks the engine invokes at step and eval
-/// boundaries, carrying the same records it accumulates into the
-/// [`TrainResult`]. Unlike the process-global status exporter
-/// (`QOC_STATUS_FILE`), an observer is scoped to one run — a multi-tenant
-/// host (`qoc-serve`) runs many engines in one process and gives each its
-/// own observer to surface live per-job status.
-///
-/// Callbacks run on the training thread between batches; keep them cheap.
-/// Default implementations do nothing.
-pub trait TrainObserver: Sync {
-    /// A step completed and was recorded.
-    fn on_step(&self, record: &StepRecord, device: DeviceCounters) {
-        let _ = (record, device);
-    }
-
-    /// A validation checkpoint completed and was recorded.
-    fn on_eval(&self, record: &EvalRecord) {
-        let _ = record;
-    }
-}
-
-/// External anchors for one training run: an explicit checkpoint target, an
-/// optional resume state, and an optional per-run observer. This is the
-/// entry-point surface a job host needs to drive many runs in one process
-/// without touching process-global environment state.
-#[derive(Default)]
-pub struct RunAnchor<'a> {
-    /// Checkpoint target and cadence (`None` disables checkpointing
-    /// regardless of the environment).
-    pub checkpoint: Option<&'a CheckpointConfig>,
-    /// Resume from this mid-run state (see [`resume_training`]).
-    pub resume: Option<TrainState>,
-    /// Per-run telemetry observer.
-    pub observer: Option<&'a dyn TrainObserver>,
-}
-
-impl std::fmt::Debug for RunAnchor<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RunAnchor")
-            .field("checkpoint", &self.checkpoint)
-            .field("resume", &self.resume.as_ref().map(|s| s.next_step))
-            .field("observer", &self.observer.is_some())
-            .finish()
-    }
-}
-
 /// Recovers the integer nanoseconds behind `estimated_device_seconds`
 /// (stored internally as a nanosecond counter; the `/1e9` is undone by
 /// rounding, exact for any plausible run length).
@@ -384,40 +325,6 @@ pub fn try_train(
         config,
         checkpoint.as_ref(),
         None,
-        None,
-    )
-}
-
-/// Like [`try_train`] with every per-run anchor made explicit: checkpoint
-/// target, resume state, and telemetry observer (see [`RunAnchor`]). This
-/// is the entry point for hosts that multiplex several engines in one
-/// process and cannot share the environment-driven global plumbing.
-///
-/// # Errors
-///
-/// [`TrainError::Execution`] when a batch fails permanently.
-///
-/// # Panics
-///
-/// Panics if dataset widths do not match the model, the config is invalid,
-/// or a resume state does not match the config.
-pub fn train_anchored(
-    model: &QnnModel,
-    backend: &dyn QuantumBackend,
-    train_data: &Dataset,
-    val_data: &Dataset,
-    config: &TrainConfig,
-    anchor: RunAnchor<'_>,
-) -> Result<TrainResult, TrainError> {
-    train_impl(
-        model,
-        backend,
-        train_data,
-        val_data,
-        config,
-        anchor.checkpoint,
-        anchor.resume,
-        anchor.observer,
     )
 }
 
@@ -440,7 +347,7 @@ pub fn train_with_checkpoints(
     checkpoint: Option<&CheckpointConfig>,
 ) -> Result<TrainResult, TrainError> {
     train_impl(
-        model, backend, train_data, val_data, config, checkpoint, None, None,
+        model, backend, train_data, val_data, config, checkpoint, None,
     )
 }
 
@@ -478,11 +385,9 @@ pub fn resume_training(
         config,
         checkpoint,
         Some(state),
-        None,
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn train_impl(
     model: &QnnModel,
     backend: &dyn QuantumBackend,
@@ -491,7 +396,6 @@ fn train_impl(
     config: &TrainConfig,
     checkpoint: Option<&CheckpointConfig>,
     resume: Option<TrainState>,
-    observer: Option<&dyn TrainObserver>,
 ) -> Result<TrainResult, TrainError> {
     assert!(config.steps > 0, "need at least one training step");
     assert!(config.batch_size > 0, "batch size must be positive");
@@ -759,17 +663,6 @@ fn train_impl(
             evaluated_params: evaluated,
             inferences,
         });
-        if let Some(obs) = observer {
-            let s = combined_stats_base(backend, base);
-            obs.on_step(
-                steps.last().expect("just pushed"),
-                DeviceCounters {
-                    circuits_run: s.circuits,
-                    total_shots: s.shots,
-                    device_ns: s.nanos,
-                },
-            );
-        }
 
         // `runs_delta` is the circuit-run cost of this step alone (plus any
         // checkpoint that ran since the previous step's snapshot) — summing
@@ -844,9 +737,6 @@ fn train_impl(
                 inferences: snapshot,
                 accuracy: eval.accuracy,
             });
-            if let Some(obs) = observer {
-                obs.on_eval(evals.last().expect("just pushed"));
-            }
             checkpoint_params.push(params.clone());
         }
 

@@ -14,9 +14,7 @@
 //! - [`schedule`] — ASAP gate scheduling and the job latency model behind
 //!   Figure 8;
 //! - [`backend`] — the [`backend::QuantumBackend`] trait with
-//!   [`backend::NoiselessBackend`] and [`backend::FakeDevice`];
-//! - [`pool`] — a leased fleet of backend instances with calibration-aware
-//!   placement scoring (the substrate `qoc-serve` schedules over).
+//!   [`backend::NoiselessBackend`] and [`backend::FakeDevice`].
 //!
 //! # Quick example
 //!
@@ -44,7 +42,6 @@ pub mod backends;
 pub mod calibration;
 pub mod faults;
 pub mod mitigation;
-pub mod pool;
 pub mod rb;
 pub mod retry;
 pub mod schedule;
@@ -58,7 +55,6 @@ pub use backend::{
 pub use backends::DeviceDescription;
 pub use calibration::{DeviceCalibration, EdgeCalibration, QubitCalibration};
 pub use faults::{FaultInjectingBackend, FaultPlan};
-pub use pool::{placement_score, DevicePool, PlacementScore, PoolBuilder, PooledDevice};
 pub use retry::{BatchError, BatchResult, JobError, RetryPolicy};
 pub use topology::CouplingMap;
 pub use transpile::{transpile, TranspileOptions, TranspiledCircuit};

@@ -39,35 +39,20 @@ pub enum JobError {
         /// Human-readable cause.
         message: String,
     },
-    /// The job's owner asked for the device back (scheduler preemption).
-    /// Not retryable — the run is expected to checkpoint and resume later —
-    /// but also *not* a failure: it is counted under
-    /// `qoc.device.preempted_jobs`, never `qoc.device.gave_up`.
-    Preempted {
-        /// Who or what preempted the job (scheduler, drain, operator).
-        reason: String,
-    },
 }
 
 impl JobError {
     /// Whether the retry loop may try this job again.
     pub fn is_retryable(&self) -> bool {
-        !matches!(self, JobError::Fatal { .. } | JobError::Preempted { .. })
+        !matches!(self, JobError::Fatal { .. })
     }
 
-    /// Whether this is a scheduler preemption rather than a real failure.
-    pub fn is_preemption(&self) -> bool {
-        matches!(self, JobError::Preempted { .. })
-    }
-
-    /// Short machine-friendly tag (`"transient"` / `"timeout"` / `"fatal"`
-    /// / `"preempted"`).
+    /// Short machine-friendly tag (`"transient"` / `"timeout"` / `"fatal"`).
     pub fn kind(&self) -> &'static str {
         match self {
             JobError::Transient { .. } => "transient",
             JobError::Timeout { .. } => "timeout",
             JobError::Fatal { .. } => "fatal",
-            JobError::Preempted { .. } => "preempted",
         }
     }
 }
@@ -80,7 +65,6 @@ impl std::fmt::Display for JobError {
                 write!(f, "job timed out after {waited_ms} ms")
             }
             JobError::Fatal { message } => write!(f, "fatal job failure: {message}"),
-            JobError::Preempted { reason } => write!(f, "job preempted: {reason}"),
         }
     }
 }
@@ -246,7 +230,6 @@ impl RetryPolicy {
 pub(crate) struct RetryMetrics {
     pub(crate) retries: Arc<Counter>,
     pub(crate) gave_up: Arc<Counter>,
-    pub(crate) preempted: Arc<Counter>,
     pub(crate) degraded: Arc<Counter>,
     /// Shots *requested* per job before any retry degradation. Compared
     /// against `qoc.device.total_shots` (shots actually executed) this
@@ -262,7 +245,6 @@ pub(crate) fn retry_metrics() -> &'static RetryMetrics {
         RetryMetrics {
             retries: reg.counter("qoc.device.retries"),
             gave_up: reg.counter("qoc.device.gave_up"),
-            preempted: reg.counter("qoc.device.preempted_jobs"),
             degraded: reg.counter("qoc.device.degraded_jobs"),
             requested_shots: reg.counter("qoc.device.requested_shots"),
             // Backoff waits: 1µs .. ~4s in powers of 4.
@@ -326,27 +308,14 @@ where
             Err(error) => {
                 attempt += 1;
                 if !error.is_retryable() || attempt >= policy.max_attempts {
-                    // A preemption is the scheduler reclaiming the device,
-                    // not the job failing — keep the `gave_up` ledger clean
-                    // so soak gates on `gave_up == 0` stay meaningful.
-                    if error.is_preemption() {
-                        metrics.preempted.inc();
-                        qoc_telemetry::event!(
-                            qoc_telemetry::Level::Info,
-                            "device.job_preempted",
-                            seed = job.seed,
-                            attempts = u64::from(attempt),
-                        );
-                    } else {
-                        metrics.gave_up.inc();
-                        qoc_telemetry::event!(
-                            qoc_telemetry::Level::Error,
-                            "device.job_gave_up",
-                            seed = job.seed,
-                            attempts = u64::from(attempt),
-                            error = error.kind(),
-                        );
-                    }
+                    metrics.gave_up.inc();
+                    qoc_telemetry::event!(
+                        qoc_telemetry::Level::Error,
+                        "device.job_gave_up",
+                        seed = job.seed,
+                        attempts = u64::from(attempt),
+                        error = error.kind(),
+                    );
                     return Err((attempt, error));
                 }
                 metrics.retries.inc();

@@ -7,7 +7,7 @@
 //! file alive. Three artifacts, all derived from the same snapshot:
 //!
 //! - **`QOC_STATUS_FILE`** — a single JSON status document, replaced via
-//!   tmp+rename so a concurrent reader (`qoc-top`, a future `qoc-serve`)
+//!   tmp+rename so a concurrent reader (`qoc-top`, the CI monitor check)
 //!   never observes a torn file. Shape pinned by
 //!   [`schema::check_status_doc`](crate::schema::check_status_doc).
 //! - **`<stem>.history.jsonl`** — one appended line per *step* snapshot
@@ -15,6 +15,11 @@
 //!   sparkline and CI its monotonicity check.
 //! - **`<stem>.prom`** — the full metrics registry in Prometheus text
 //!   format (see [`prom`](crate::prom)).
+//!
+//! Each exporter owns an [`AlertEngine`] (rules from `QOC_ALERT_RULES` for
+//! the process-wide exporter, [`StatusExporter::with_alert_rules`] for an
+//! owned one) and evaluates it at every publication; transitions land in a
+//! fourth sibling, `<stem>.alerts.jsonl`.
 //!
 //! The device counters in the document (`device.circuits_run`,
 //! `device.total_shots`, `device.device_ns`) are stamped by the engine from
@@ -32,7 +37,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::alerts;
+use crate::alerts::{self, AlertEngine};
 use crate::metrics::{MetricsSnapshot, Registry};
 use crate::prom;
 use crate::Level;
@@ -44,12 +49,8 @@ const HEARTBEAT_FLOOR_MS: u128 = 2_000;
 /// EMA smoothing for the step rate: weight of the newest inter-step rate.
 const RATE_EMA_ALPHA: f64 = 0.3;
 
-/// Default cap on `<stem>.history.jsonl` lines before rotate-on-cap
-/// (`QOC_STATUS_HISTORY_MAX`) — bounds the history of a week-long serve run.
+/// Default cap on `<stem>.history.jsonl` lines before rotate-on-cap.
 pub const DEFAULT_HISTORY_MAX: u64 = 10_000;
-
-/// Environment variable overriding [`DEFAULT_HISTORY_MAX`].
-pub const HISTORY_MAX_ENV: &str = "QOC_STATUS_HISTORY_MAX";
 
 /// Engine-stamped core of a status snapshot — everything the metrics
 /// registry can *not* provide exactly: run identity, training progress, and
@@ -95,8 +96,9 @@ struct ExportState {
     history_lines: Option<u64>,
 }
 
-/// Writes live status snapshots (see module docs). One per process, built
-/// from `QOC_STATUS_FILE` / `QOC_STATUS_EVERY` on first use.
+/// Writes live status snapshots (see module docs). The process-wide one is
+/// built from `QOC_STATUS_FILE` / `QOC_STATUS_EVERY` / `QOC_ALERT_RULES` on
+/// first use.
 #[derive(Debug)]
 pub struct StatusExporter {
     path: PathBuf,
@@ -104,6 +106,8 @@ pub struct StatusExporter {
     /// History-sibling line cap: reaching it atomically rotates the file to
     /// `<stem>.history.jsonl.1` and starts fresh.
     history_max: u64,
+    /// Rules evaluated at every publication.
+    alerts: AlertEngine,
     epoch: Instant,
     state: Mutex<ExportState>,
 }
@@ -133,8 +137,12 @@ pub fn global() -> Option<&'static StatusExporter> {
                 .and_then(|v| v.trim().parse::<u64>().ok())
                 .unwrap_or(1)
                 .max(1);
+            let mut exporter = StatusExporter::new(PathBuf::from(path), every);
+            if let Ok(spec) = std::env::var(alerts::ALERT_RULES_ENV) {
+                exporter = exporter.with_alert_rules(&spec);
+            }
             HEARTBEAT_ON.store(true, Ordering::Relaxed);
-            Some(StatusExporter::new(PathBuf::from(path), every))
+            Some(exporter)
         })
         .as_ref()
 }
@@ -156,24 +164,31 @@ impl StatusExporter {
     /// An exporter publishing to `path` every `every` steps. Public for
     /// tests; production goes through [`global`].
     pub fn new(path: PathBuf, every: u64) -> Self {
-        let history_max = std::env::var(HISTORY_MAX_ENV)
-            .ok()
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or(DEFAULT_HISTORY_MAX);
         StatusExporter {
             path,
             every: every.max(1),
-            history_max,
+            history_max: DEFAULT_HISTORY_MAX,
+            alerts: AlertEngine::default(),
             epoch: Instant::now(),
             state: Mutex::new(ExportState::default()),
         }
     }
 
-    /// Overrides the history-rotation cap (tests; production reads
-    /// `QOC_STATUS_HISTORY_MAX`).
+    /// Overrides the history-rotation cap (tests; production keeps
+    /// [`DEFAULT_HISTORY_MAX`]).
     pub fn with_history_max(mut self, max: u64) -> Self {
         self.history_max = max.max(1);
+        self
+    }
+
+    /// Installs alert rules (semicolon-separated, see
+    /// [`alerts`](crate::alerts)) into this exporter's engine. A malformed
+    /// rule is reported on stderr and dropped; the valid ones still install,
+    /// so a typo degrades to fewer alerts, never to a crashed run.
+    pub fn with_alert_rules(mut self, spec: &str) -> Self {
+        if let Err(err) = self.alerts.install(spec) {
+            eprintln!("qoc-telemetry: alert rules: {err}");
+        }
         self
     }
 
@@ -217,7 +232,7 @@ impl StatusExporter {
         }
     }
 
-    /// Explicit heartbeat for exporters owned directly (tests, job hosts):
+    /// Explicit heartbeat for exporters owned directly (tests):
     /// same semantics as the global [`heartbeat`] — republish the last core
     /// with fresh registry data once the time floor has elapsed.
     pub fn tick(&self) {
@@ -252,9 +267,9 @@ impl StatusExporter {
         // same snapshot the document is rendered from. Terminal states
         // flush still-active firings so the log pairs every firing with an
         // outcome.
-        let mut transitions = alerts::evaluate(&metrics);
+        let mut transitions = self.alerts.evaluate(&metrics);
         if core.state != "running" {
-            transitions.extend(alerts::finalize());
+            transitions.extend(self.alerts.finalize());
         }
         if !transitions.is_empty() {
             self.record_transitions(&transitions, st.snapshots);
@@ -268,7 +283,7 @@ impl StatusExporter {
             st.snapshots,
             self.epoch,
             st.step_rate,
-            alerts::section(),
+            self.alerts.section(),
         );
         let json = serde_json::to_string(&doc).expect("infallible");
         if let Err(err) = write_atomic(&self.path, &json) {
@@ -280,7 +295,7 @@ impl StatusExporter {
             let mut lines = match st.history_lines {
                 Some(n) => n,
                 // First append of this process: respect lines a previous
-                // process (resume, shared host) already wrote.
+                // process (a resumed run) already wrote.
                 None => std::fs::read_to_string(&history)
                     .map(|text| text.lines().count() as u64)
                     .unwrap_or(0),
@@ -322,7 +337,7 @@ impl StatusExporter {
         }
         registry
             .gauge("qoc.alerts.active")
-            .set(alerts::active_count() as f64);
+            .set(self.alerts.active().len() as f64);
         let log = self.path.with_extension("alerts.jsonl");
         let ts_ns = self.epoch.elapsed().as_nanos() as u64;
         for t in transitions {
@@ -359,8 +374,7 @@ impl StatusExporter {
 /// [`schema::check_alert_line`](crate::schema::check_alert_line)).
 fn alert_line(t: &alerts::AlertTransition, ts_ns: u64, snapshot: u64) -> serde::Value {
     use serde::Value;
-    // An infinite burn ratio (numerator moved, denominator did not) must
-    // still serialize to legal JSON.
+    // A non-finite gauge value must still serialize to legal JSON.
     let finite = |v: f64| if v.is_finite() { v } else { f64::MAX };
     Value::Object(vec![
         ("ts_ns".into(), Value::UInt(ts_ns)),
@@ -482,15 +496,7 @@ fn status_doc(
         ]),
     ));
 
-    // Multi-tenant serving: `qoc-serve` stamps per-tenant counters under
-    // `qoc.serve.tenant.<tenant>.<field>`; group them into one object per
-    // tenant. Absent entirely (old golden docs stay valid) unless a serve
-    // host runs in this process.
-    if let Some(tenants) = tenant_section(metrics) {
-        entries.push(("tenants".into(), tenants));
-    }
-
-    // SLO/alert engine state (absent unless rules are installed, so golden
+    // Alert engine state (absent unless rules are installed, so golden
     // docs from rule-free runs stay byte-stable).
     if let Some(alerts) = alerts_section {
         entries.push(("alerts".into(), alerts));
@@ -529,43 +535,6 @@ fn status_doc(
     ));
 
     Value::Object(entries)
-}
-
-/// Metric-name prefix under which `qoc-serve` stamps per-tenant counters:
-/// `qoc.serve.tenant.<tenant>.<field>` (tenant names must not contain `.`).
-pub const TENANT_METRIC_PREFIX: &str = "qoc.serve.tenant.";
-
-/// Groups `qoc.serve.tenant.<tenant>.<field>` counters into a
-/// `{tenant: {field: value}}` object; `None` when no such counters exist.
-fn tenant_section(metrics: &MetricsSnapshot) -> Option<serde::Value> {
-    use serde::Value;
-
-    let mut tenants: Vec<(String, Vec<(String, Value)>)> = Vec::new();
-    for (name, &value) in &metrics.counters {
-        let Some(rest) = name.strip_prefix(TENANT_METRIC_PREFIX) else {
-            continue;
-        };
-        let Some((tenant, field)) = rest.split_once('.') else {
-            continue;
-        };
-        match tenants.iter_mut().find(|(t, _)| t == tenant) {
-            Some((_, fields)) => fields.push((field.to_string(), Value::UInt(value))),
-            // BTreeMap iteration keeps tenants (and their fields) sorted.
-            None => tenants.push((
-                tenant.to_string(),
-                vec![(field.to_string(), Value::UInt(value))],
-            )),
-        }
-    }
-    if tenants.is_empty() {
-        return None;
-    }
-    Some(Value::Object(
-        tenants
-            .into_iter()
-            .map(|(t, fields)| (t, Value::Object(fields)))
-            .collect(),
-    ))
 }
 
 /// Replaces `path` atomically: write a `.tmp` sibling, then rename over.
@@ -709,51 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn tenant_counters_group_into_a_schema_valid_section() {
-        let path = tmp_status_path("tenants");
-        let reg = Registry::global();
-        reg.counter("qoc.serve.tenant.acme.completed").add(3);
-        reg.counter("qoc.serve.tenant.acme.device_ns").add(1234);
-        reg.counter("qoc.serve.tenant.beta.completed").add(5);
-        let exporter = StatusExporter::new(path.clone(), 1);
-        exporter.on_step(core(1, 10));
-        let doc: serde::Value =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        check_status_doc(&doc).expect("doc with tenants section stays schema-valid");
-        let tenants = doc.get("tenants").expect("tenants section present");
-        assert_eq!(
-            tenants
-                .get("acme")
-                .unwrap()
-                .get("completed")
-                .unwrap()
-                .as_u64(),
-            Some(3)
-        );
-        assert_eq!(
-            tenants
-                .get("acme")
-                .unwrap()
-                .get("device_ns")
-                .unwrap()
-                .as_u64(),
-            Some(1234)
-        );
-        assert_eq!(
-            tenants
-                .get("beta")
-                .unwrap()
-                .get("completed")
-                .unwrap()
-                .as_u64(),
-            Some(5)
-        );
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(path.with_extension("history.jsonl")).ok();
-        std::fs::remove_file(path.with_extension("prom")).ok();
-    }
-
-    #[test]
     fn history_rotates_on_cap_and_respects_existing_lines() {
         let path = tmp_status_path("rotate");
         let history = path.with_extension("history.jsonl");
@@ -774,7 +698,7 @@ mod tests {
             check_status_doc(&serde_json::from_str(line).unwrap()).expect("schema");
         }
         // A fresh exporter over the same files counts the pre-existing line
-        // instead of clobbering it (resume/shared-host case).
+        // instead of clobbering it (resumed run).
         let exporter2 = StatusExporter::new(path.clone(), 1).with_history_max(3);
         exporter2.on_step(core(8, 8));
         exporter2.on_step(core(9, 9));
@@ -794,12 +718,11 @@ mod tests {
         let path = tmp_status_path("alerts");
         let log = path.with_extension("alerts.jsonl");
         std::fs::remove_file(&log).ok();
-        // Rules live in the process-global engine: use a metric name no
-        // other test touches, and a rule on the global registry.
-        crate::alerts::install_rules("t.export.alert_probe > 10 for 2 windows")
-            .expect("rule parses");
+        // The exporter owns its rules; the probe metric lives in the global
+        // registry the exporter snapshots.
         let gauge = Registry::global().gauge("t.export.alert_probe");
-        let exporter = StatusExporter::new(path.clone(), 1);
+        let exporter = StatusExporter::new(path.clone(), 1)
+            .with_alert_rules("t.export.alert_probe > 10 for 2 windows");
         gauge.set(50.0);
         exporter.on_step(core(1, 1)); // streak 1
         exporter.on_step(core(2, 2)); // streak 2 → fires

@@ -2,7 +2,7 @@
 //! sampler (`QOC_PROFILE_HZ`).
 //!
 //! Full JSONL tracing costs one record per span close — fine for a CI run,
-//! ruinous for a week-long serve host. The profiler inverts the cost model:
+//! ruinous for a long one. The profiler inverts the cost model:
 //! every [`SpanGuard`](crate::SpanGuard) *publishes* its thread's current
 //! span path into a lock-free slot (a few relaxed atomic stores), and a
 //! dedicated sampler thread *reads* those slots at a fixed rate, folding
@@ -384,8 +384,8 @@ impl ProfileReport {
 }
 
 /// The accumulated profile so far, `None` when no sampler ever started.
-/// Does not reset the accumulator: a serve host can flush per job while the
-/// profile keeps integrating.
+/// Does not reset the accumulator: a caller can flush periodically while
+/// the profile keeps integrating.
 pub fn report() -> Option<ProfileReport> {
     let state = SAMPLER.get()?;
     let accum = state.accum.lock().unwrap_or_else(|e| e.into_inner());

@@ -1,9 +1,8 @@
 //! Prometheus text-format rendering of a [`MetricsSnapshot`].
 //!
 //! The status exporter writes a `<stem>.prom` sibling next to every
-//! `QOC_STATUS_FILE` snapshot, so the planned `qoc-serve` gets a scrape
-//! surface for free and any textfile-collector node exporter can pick up a
-//! run's metrics today.
+//! `QOC_STATUS_FILE` snapshot, so any textfile-collector node exporter can
+//! pick up a run's metrics.
 //!
 //! Naming convention: registry names are dotted (`qoc.device.retries`);
 //! Prometheus names replace every character outside `[a-zA-Z0-9_:]` with
@@ -36,27 +35,6 @@ pub fn sanitize(name: &str) -> String {
         .collect();
     if out.chars().next().is_some_and(|c| c.is_ascii_digit()) {
         out.insert(0, '_');
-    }
-    out
-}
-
-/// Escapes a string for use as a Prometheus label *value* (`\` → `\\`,
-/// `"` → `\"`, newline → `\n`, per the exposition format).
-///
-/// Today every label value the renderer emits is internal (`le`,
-/// `quantile`), and tenant ids are vetted at serve admission before they
-/// reach a metric name — but any future label sourced from user input MUST
-/// pass through here, so the escaping rule lives next to the renderer with
-/// hostile-input tests below.
-pub fn escape_label_value(value: &str) -> String {
-    let mut out = String::with_capacity(value.len());
-    for c in value.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            _ => out.push(c),
-        }
     }
     out
 }
@@ -165,12 +143,11 @@ mod tests {
         assert!(text.ends_with('\n'));
     }
 
-    /// Hostile tenant ids that must never corrupt the exposition output.
-    /// Serve admission rejects all of these, but the renderer is the last
-    /// line of defense — a compromised or future caller that skips
-    /// admission still may not produce an unscrapeable `.prom` file.
+    /// Hostile name segments that must never corrupt the exposition output:
+    /// metric names are free-form strings, and whatever a caller registers
+    /// may not produce an unscrapeable `.prom` file.
     const HOSTILE_IDS: &[&str] = &[
-        "evil\"tenant",
+        "evil\"quote",
         "back\\slash",
         "new\nline",
         "crlf\r\n",
@@ -183,9 +160,9 @@ mod tests {
     ];
 
     #[test]
-    fn hostile_tenant_ids_sanitize_to_legal_metric_names() {
+    fn hostile_ids_sanitize_to_legal_metric_names() {
         for id in HOSTILE_IDS {
-            let name = sanitize(&format!("qoc.serve.tenant.{id}.completed"));
+            let name = sanitize(&format!("t.prom.hostile.{id}.completed"));
             assert!(
                 name.chars()
                     .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':'),
@@ -196,32 +173,7 @@ mod tests {
     }
 
     #[test]
-    fn hostile_tenant_ids_escape_to_legal_label_values() {
-        for id in HOSTILE_IDS {
-            let escaped = escape_label_value(id);
-            // No raw quote may survive unescaped (it would close the label
-            // early), and no raw newline may survive at all.
-            let mut prev_backslashes = 0usize;
-            for c in escaped.chars() {
-                match c {
-                    '"' => assert!(
-                        prev_backslashes % 2 == 1,
-                        "unescaped quote in {escaped:?} (from {id:?})"
-                    ),
-                    '\n' => panic!("raw newline in {escaped:?} (from {id:?})"),
-                    _ => {}
-                }
-                prev_backslashes = if c == '\\' { prev_backslashes + 1 } else { 0 };
-            }
-        }
-        assert_eq!(escape_label_value("a\"b"), "a\\\"b");
-        assert_eq!(escape_label_value("a\\b"), "a\\\\b");
-        assert_eq!(escape_label_value("a\nb"), "a\\nb");
-        assert_eq!(escape_label_value("plain-1_2"), "plain-1_2");
-    }
-
-    #[test]
-    fn render_survives_hostile_tenant_metric_names() {
+    fn render_survives_hostile_metric_names() {
         let reg = Registry::new();
         for (i, id) in HOSTILE_IDS.iter().enumerate() {
             reg.counter(&format!("t.prom.hostile.{id}.completed"))

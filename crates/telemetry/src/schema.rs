@@ -289,28 +289,8 @@ pub fn check_status_doc(value: &Value) -> Result<(), String> {
         return Err("status doc: device is not an object".to_string());
     }
     check_fields(device, STATUS_DEVICE_FIELDS, "status doc device")?;
-    // Optional multi-tenant section (present only when a `qoc-serve` host
-    // runs in the publishing process): one object of unsigned counters per
-    // tenant.
-    if let Some(tenants) = value.get("tenants") {
-        let Some(entries) = tenants.as_object() else {
-            return Err("status doc: tenants is not an object".to_string());
-        };
-        for (tenant, fields) in entries {
-            let Some(fields) = fields.as_object() else {
-                return Err(format!("status doc: tenant {tenant:?} is not an object"));
-            };
-            for (field, v) in fields {
-                if !FieldKind::UInt.matches(v) {
-                    return Err(format!(
-                        "status doc: tenant {tenant:?} field {field:?} is not a UInt"
-                    ));
-                }
-            }
-        }
-    }
-    // Optional SLO/alert section (present only when alert rules are
-    // installed in the publishing process).
+    // Optional alert section (present only when the publishing exporter
+    // has alert rules installed).
     if let Some(alerts) = value.get("alerts") {
         if alerts.as_object().is_none() {
             return Err("status doc: alerts is not an object".to_string());
@@ -425,18 +405,6 @@ mod tests {
         assert!(check_status_doc(&parse(no_device))
             .unwrap_err()
             .contains("device"));
-        // The optional multi-tenant section: objects of UInt counters.
-        let with_tenants = doc.replace(
-            "\"device\":",
-            r#""tenants":{"acme":{"completed":12,"preempted":2},"beta":{"completed":7}},"device":"#,
-        );
-        assert_eq!(check_status_doc(&parse(&with_tenants)), Ok(()));
-        let bad_tenant = doc.replace(
-            "\"device\":",
-            r#""tenants":{"acme":{"completed":"twelve"}},"device":"#,
-        );
-        let err = check_status_doc(&parse(&bad_tenant)).unwrap_err();
-        assert!(err.contains("acme"), "unexpected error: {err}");
     }
 
     #[test]
