@@ -35,10 +35,16 @@ stage_test() {
 stage_kernel_equivalence() {
     # Differential suite: specialized kernels and the fused pipeline vs the
     # generic dense-matrix oracle (≤ 1e-12), plus pinned analytic states.
-    # Release mode: the proptest cases are heavy and the kernels under test
-    # are the ones production runs actually execute.
+    # Then the compiled noisy path: NoisyProgram superoperator blocks vs the
+    # Kraus interpreter on random circuits and noise models (ρ and outcome
+    # probabilities ≤ 1e-12, every block trace-preserving), and FakeDevice
+    # vs that oracle on the paper models and devices (seeded shot jobs bit
+    # for bit). Release mode: the proptest cases are heavy and the kernels
+    # under test are the ones production runs actually execute.
     cargo test --offline --release -p qoc-sim \
-        --test kernel_equivalence --test golden_states
+        --test kernel_equivalence --test golden_states || return 1
+    cargo test --offline --release -p qoc-noise --test noisy_program || return 1
+    cargo test --offline --release -p qoc-device --test noisy_equivalence
 }
 
 stage_diff_equivalence() {
@@ -209,7 +215,8 @@ stage_shot_alloc() {
 stage_bench_smoke() {
     # >25% regression vs a committed baseline fails (serial Jacobian vs
     # BENCH_param_shift.json, fused QNN-4 state prep vs
-    # BENCH_gate_kernels.json, adjoint-mode Jacobian vs BENCH_adjoint.json);
+    # BENCH_gate_kernels.json, adjoint-mode Jacobian vs BENCH_adjoint.json,
+    # one noisy MNIST-2 job on jakarta vs BENCH_density.json);
     # tolerance is QOC_BENCH_TOLERANCE. Also statically gates the committed
     # BENCH_shot_alloc.json frontier claim (≥ 25% saved, no accuracy loss).
     cargo run --offline --release -p qoc-bench --bin bench_smoke

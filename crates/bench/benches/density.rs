@@ -1,5 +1,13 @@
 //! Noisy density-matrix simulation cost — the dominant expense of every
 //! emulated device execution (and hence of on-chip training experiments).
+//!
+//! The `density/kraus_2q` and `density/thermal_1q_on_4q` rows time the
+//! reference Kraus interpreter's primitives; the `density/device_run` rows
+//! time one 1024-shot job on the emulated device, which runs the circuit
+//! compiled into superoperator kernels at preparation. Run with
+//! `cargo bench -p qoc-bench --bench density`; the rows are dumped to
+//! `BENCH_density.json`, whose `device_run/mnist2_jakarta` row `bench_smoke`
+//! gates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -45,6 +53,7 @@ fn bench_device_execution(c: &mut Criterion) {
     group.sample_size(20);
     for (name, desc, model) in [
         ("mnist2_santiago", fake_santiago(), QnnModel::mnist2()),
+        ("mnist2_jakarta", fake_jakarta(), QnnModel::mnist2()),
         ("mnist4_jakarta", fake_jakarta(), QnnModel::mnist4()),
     ] {
         let device = FakeDevice::new(desc);
@@ -68,10 +77,38 @@ fn bench_device_execution(c: &mut Criterion) {
     group.finish();
 }
 
+fn dump_artifact(c: &mut Criterion) {
+    let mut rows: Vec<qoc_bench::suite::Measurement> = c
+        .take_results()
+        .iter()
+        .map(|r| qoc_bench::suite::Measurement {
+            label: r.id.clone(),
+            values: vec![
+                ("median_ns".into(), r.median_ns),
+                ("mean_ns".into(), r.mean_ns),
+                ("min_ns".into(), r.min_ns),
+                ("samples".into(), r.samples as f64),
+            ],
+        })
+        .collect();
+    let cores = std::thread::available_parallelism().map_or(0, |n| n.get());
+    rows.push(qoc_bench::suite::Measurement {
+        label: "host".into(),
+        values: vec![("available_parallelism".into(), cores as f64)],
+    });
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_density.json");
+    if let Ok(body) = serde_json::to_string_pretty(&rows) {
+        if std::fs::write(path, &body).is_ok() {
+            println!("wrote BENCH_density.json ({} entries)", rows.len());
+        }
+    }
+}
+
 criterion_group!(
     benches,
     bench_kraus_application,
     bench_thermal_channel,
-    bench_device_execution
+    bench_device_execution,
+    dump_artifact
 );
 criterion_main!(benches);

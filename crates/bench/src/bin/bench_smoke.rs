@@ -9,6 +9,9 @@
 //! - `BENCH_adjoint.json` — re-measures the adjoint-mode exact Jacobian of
 //!   the MNIST-2 ansatz (the `diff/adjoint_mnist2` row), guarding the
 //!   structured differentiation path of the shift planner.
+//! - `BENCH_density.json` — re-measures one 1024-shot MNIST-2 job on the
+//!   emulated ibmq_jakarta (the `density/device_run/mnist2_jakarta` row),
+//!   guarding the compiled noisy density path every device job runs.
 //! - `BENCH_shot_alloc.json` — checks the committed shot-allocation
 //!   frontier (the `shot_alloc/mnist2_frontier` row): the controller must
 //!   have reached baseline accuracy with ≥ 25% fewer executed shots. This
@@ -21,7 +24,7 @@
 //! sample: on shared/single-CPU runners medians swing ±25% with scheduler
 //! noise, while the minimum is a stable lower bound on the true cost.
 //!
-//! Usage: `bench_smoke [PARAM_SHIFT_JSON [GATE_KERNELS_JSON [ADJOINT_JSON [SHOT_ALLOC_JSON]]]]`
+//! Usage: `bench_smoke [PARAM_SHIFT_JSON [GATE_KERNELS_JSON [ADJOINT_JSON [SHOT_ALLOC_JSON [DENSITY_JSON]]]]]`
 //! (defaults to the repo-root artifacts). Tolerance defaults to 0.25 (25 %) and can be
 //! overridden with `QOC_BENCH_TOLERANCE`. Exit codes: **0** within
 //! tolerance, **1** regression or malformed baseline, **2** baseline
@@ -39,8 +42,8 @@ use std::time::Instant;
 use serde::Value;
 
 use qoc_core::shift::ParameterShiftEngine;
-use qoc_device::backend::{DiffMode, Execution, FakeDevice, NoiselessBackend};
-use qoc_device::backends::fake_santiago;
+use qoc_device::backend::{DiffMode, Execution, FakeDevice, NoiselessBackend, QuantumBackend};
+use qoc_device::backends::{fake_jakarta, fake_santiago};
 use qoc_nn::model::QnnModel;
 use qoc_sim::fusion::FusedProgram;
 use qoc_sim::statevector::Statevector;
@@ -133,6 +136,39 @@ fn measure_jacobian_min_ns() -> f64 {
             let start = Instant::now();
             std::hint::black_box(engine.jacobian(&theta, 4));
             start.elapsed().as_nanos() as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Re-runs one 1024-shot MNIST-2 job on the emulated ibmq_jakarta
+/// (per-iteration cost ~0.1 ms, so each rep averages an inner loop) and
+/// returns the minimum per-job wall time in ns.
+fn measure_device_run_min_ns() -> f64 {
+    use rand::SeedableRng;
+    const INNER: usize = 50;
+    let model = QnnModel::mnist2();
+    let device = FakeDevice::new(fake_jakarta());
+    let prepared = device.prepare(model.circuit());
+    let theta = model.symbol_vector(&[0.2; 8], &[0.7; 16]);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let mut run = || {
+        std::hint::black_box(device.run_prepared(
+            &prepared,
+            &theta,
+            Execution::Shots(1024),
+            &mut rng,
+        ));
+    };
+    for _ in 0..WARMUP * INNER {
+        run();
+    }
+    (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..INNER {
+                run();
+            }
+            start.elapsed().as_nanos() as f64 / INNER as f64
         })
         .fold(f64::INFINITY, f64::min)
 }
@@ -439,6 +475,15 @@ fn main() -> ExitCode {
         },
         PathBuf::from,
     );
+    let density_path: PathBuf = std::env::args().nth(5).map_or_else(
+        || {
+            PathBuf::from(concat!(
+                env!("CARGO_MANIFEST_DIR"),
+                "/../../BENCH_density.json"
+            ))
+        },
+        PathBuf::from,
+    );
     if cfg!(debug_assertions) {
         println!(
             "bench_smoke: skipped — debug build; baselines are measured with \
@@ -453,7 +498,7 @@ fn main() -> ExitCode {
         },
         Err(_) => DEFAULT_TOLERANCE,
     };
-    let gates: [Gate; 3] = [
+    let gates: [Gate; 4] = [
         (
             &shift_path,
             "shift/jacobian_batched_santiago/1workers",
@@ -471,6 +516,12 @@ fn main() -> ExitCode {
             "diff/adjoint_mnist2",
             "cargo bench -p qoc-bench --bench diff_modes",
             measure_adjoint_min_ns,
+        ),
+        (
+            &density_path,
+            "density/device_run/mnist2_jakarta",
+            "cargo bench -p qoc-bench --bench density",
+            measure_device_run_min_ns,
         ),
     ];
     let mut rows: Vec<GateRow> = gates

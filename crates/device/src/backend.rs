@@ -43,7 +43,7 @@ use qoc_sim::fusion::FusedProgram;
 use qoc_sim::statevector::with_scratch_state;
 
 use qoc_noise::model::NoiseModel;
-use qoc_noise::sim::NoisyDensitySimulator;
+use qoc_noise::program::NoisyProgram;
 use qoc_noise::trajectory::{TrajectoryNoise, TrajectorySimulator};
 
 use crate::backends::DeviceDescription;
@@ -112,12 +112,21 @@ enum Plan {
         compact: Circuit,
         /// Logical qubit → compact wire carrying its readout.
         logical_readout: Vec<usize>,
-        noise: NoiseModel,
-        traj_noise: TrajectoryNoise,
+        engine: NoisyEngine,
         per_shot_ns: f64,
         overhead_ns: f64,
         swap_count: usize,
     },
+}
+
+/// How a device plan evolves its noisy state, fixed at preparation by the
+/// compact width.
+#[derive(Debug, Clone)]
+enum NoisyEngine {
+    /// Exact density-matrix evolution of the compiled circuit and noise.
+    Density(NoisyProgram),
+    /// Monte-Carlo Pauli trajectories for circuits too wide for ρ.
+    Trajectory(TrajectoryNoise),
 }
 
 impl PreparedCircuit {
@@ -932,11 +941,30 @@ impl QuantumBackend for NoiselessBackend {
     }
 }
 
+/// What a [`FakeDevice`] executes for one logical circuit: the transpiled
+/// circuit compacted onto the wires it touches, and the calibration's noise
+/// restricted to those wires.
+///
+/// [`QuantumBackend::prepare`] on a [`FakeDevice`] compiles this into a
+/// [`NoisyProgram`]; running the same parts through
+/// [`NoisyDensitySimulator`](qoc_noise::sim::NoisyDensitySimulator) is the
+/// reference the compiled path is tested against.
+#[derive(Debug, Clone)]
+pub struct CompactCircuit {
+    /// The routed circuit on compact wires `0..k`.
+    pub circuit: Circuit,
+    /// Logical qubit → compact wire carrying its readout.
+    pub logical_readout: Vec<usize>,
+    /// Per-wire and per-pair noise plus readout error on the compact wires.
+    pub noise: NoiseModel,
+}
+
 /// Hardware-emulating backend built from a [`DeviceDescription`].
 ///
 /// Circuits whose compacted footprint stays at or below
-/// `density_matrix_limit` qubits run on the exact noisy density-matrix
-/// simulator; wider ones fall back to Monte-Carlo Pauli trajectories.
+/// `density_matrix_limit` qubits are compiled at preparation into a
+/// [`NoisyProgram`] and evolved exactly on a per-thread scratch density
+/// matrix; wider ones fall back to Monte-Carlo Pauli trajectories.
 #[derive(Debug)]
 pub struct FakeDevice {
     description: DeviceDescription,
@@ -980,13 +1008,17 @@ impl FakeDevice {
         schedule::job_time(&t.circuit, &self.description.calibration, shots).total_seconds()
     }
 
+    /// Transpiles `circuit` and compacts it with its noise model: the inputs
+    /// [`QuantumBackend::prepare`] compiles, exposed as the reference for
+    /// equivalence tests.
+    pub fn compact(&self, circuit: &Circuit) -> CompactCircuit {
+        let t = transpile(circuit, &self.description.coupling, self.options);
+        self.compact_transpiled(&t, circuit.num_qubits())
+    }
+
     /// Compacts a transpiled circuit onto only its touched wires and builds
     /// the matching compact noise model.
-    fn compact(
-        &self,
-        t: &TranspiledCircuit,
-        logical_qubits: usize,
-    ) -> (Circuit, Vec<usize>, NoiseModel) {
+    fn compact_transpiled(&self, t: &TranspiledCircuit, logical_qubits: usize) -> CompactCircuit {
         let cal = &self.description.calibration;
         // Wires that matter: everything the circuit touches plus every
         // readout target.
@@ -1081,7 +1113,11 @@ impl FakeDevice {
                     );
             }
         }
-        (compact, logical_readout, builder.build())
+        CompactCircuit {
+            circuit: compact,
+            logical_readout,
+            noise: builder.build(),
+        }
     }
 }
 
@@ -1097,20 +1133,27 @@ impl QuantumBackend for FakeDevice {
     fn prepare(&self, circuit: &Circuit) -> PreparedCircuit {
         let t = transpile(circuit, &self.description.coupling, self.options);
         let job = schedule::job_time(&t.circuit, &self.description.calibration, 1);
-        let (compact, logical_readout, noise) = self.compact(&t, circuit.num_qubits());
-        let cal = &self.description.calibration;
-        let traj_noise = TrajectoryNoise::new(
-            (1.5 * cal.mean_error_1q()).min(1.0),
-            (1.25 * cal.mean_error_cx()).min(1.0),
-            cal.mean_readout_error().min(0.5),
-        );
+        let CompactCircuit {
+            circuit: compact,
+            logical_readout,
+            noise,
+        } = self.compact_transpiled(&t, circuit.num_qubits());
+        let engine = if compact.num_qubits() <= self.density_matrix_limit {
+            NoisyEngine::Density(NoisyProgram::compile(&compact, &noise))
+        } else {
+            let cal = &self.description.calibration;
+            NoisyEngine::Trajectory(TrajectoryNoise::new(
+                (1.5 * cal.mean_error_1q()).min(1.0),
+                (1.25 * cal.mean_error_cx()).min(1.0),
+                cal.mean_readout_error().min(0.5),
+            ))
+        };
         PreparedCircuit {
             logical_qubits: circuit.num_qubits(),
             plan: Plan::Device {
                 compact,
                 logical_readout,
-                noise,
-                traj_noise,
+                engine,
                 per_shot_ns: job.circuit_duration_ns + job.readout_ns + job.rep_delay_ns,
                 overhead_ns: job.overhead_ns,
                 swap_count: t.swap_count,
@@ -1128,8 +1171,7 @@ impl QuantumBackend for FakeDevice {
         let Plan::Device {
             compact,
             logical_readout,
-            noise,
-            traj_noise,
+            engine,
             per_shot_ns,
             overhead_ns,
             ..
@@ -1144,20 +1186,17 @@ impl QuantumBackend for FakeDevice {
         let seconds = (overhead_ns + shots as f64 * per_shot_ns) / 1e9;
         self.stats.record(shots as u64, seconds);
 
-        let physical = if compact.num_qubits() <= self.density_matrix_limit {
-            let sim = NoisyDensitySimulator::new(noise.clone());
-            match execution {
-                Execution::Exact => sim.expectations_z(compact, theta),
-                Execution::Shots(s) => sim.sampled_expectations_z(compact, theta, s, rng),
+        let physical = match (engine, execution) {
+            (NoisyEngine::Density(program), Execution::Exact) => program.expectations_z(theta),
+            (NoisyEngine::Density(program), Execution::Shots(s)) => {
+                program.sampled_expectations_z(theta, s, rng)
             }
-        } else {
-            let sim = TrajectorySimulator::new(*traj_noise);
-            match execution {
-                Execution::Exact => {
-                    let mut r = rand::rngs::StdRng::seed_from_u64(0x5eed);
-                    sim.mean_expectations_z(compact, theta, 512, &mut r)
-                }
-                Execution::Shots(s) => sim.sampled_expectations_z(compact, theta, s, rng),
+            (NoisyEngine::Trajectory(noise), Execution::Exact) => {
+                let mut r = rand::rngs::StdRng::seed_from_u64(0x5eed);
+                TrajectorySimulator::new(*noise).mean_expectations_z(compact, theta, 512, &mut r)
+            }
+            (NoisyEngine::Trajectory(noise), Execution::Shots(s)) => {
+                TrajectorySimulator::new(*noise).sampled_expectations_z(compact, theta, s, rng)
             }
         };
         logical_readout.iter().map(|&w| physical[w]).collect()
@@ -1167,23 +1206,23 @@ impl QuantumBackend for FakeDevice {
         let Plan::Device {
             compact,
             logical_readout,
-            noise,
+            engine,
             overhead_ns,
             ..
         } = &prepared.plan
         else {
             panic!("prepared circuit belongs to a different backend kind");
         };
-        assert!(
-            compact.num_qubits() <= self.density_matrix_limit,
-            "exact outcome distributions need the density-matrix path \
-             ({} > {} qubits)",
-            compact.num_qubits(),
-            self.density_matrix_limit
-        );
+        let NoisyEngine::Density(program) = engine else {
+            panic!(
+                "exact outcome distributions need the density-matrix path \
+                 ({} > {} qubits)",
+                compact.num_qubits(),
+                self.density_matrix_limit
+            );
+        };
         self.stats.record(0, overhead_ns / 1e9);
-        let sim = NoisyDensitySimulator::new(noise.clone());
-        let compact_probs = sim.outcome_probabilities(compact, theta);
+        let compact_probs = program.outcome_probabilities(theta);
         // Marginalize onto the logical readout wires, logical bit order.
         let n_logical = logical_readout.len();
         let mut out = vec![0.0; 1 << n_logical];

@@ -70,6 +70,13 @@ impl DensityMatrix {
         DensityMatrix { num_qubits, mat }
     }
 
+    /// Wraps a raw `2ⁿ×2ⁿ` matrix without checking it is a state (compiled
+    /// programs probe channels with matrix units).
+    pub(crate) fn from_matrix(num_qubits: usize, mat: CMatrix) -> Self {
+        debug_assert_eq!(mat.rows(), 1usize << num_qubits);
+        DensityMatrix { num_qubits, mat }
+    }
+
     /// Number of qubits.
     #[inline]
     pub fn num_qubits(&self) -> usize {

@@ -10,7 +10,9 @@
 //! - [`density`] — exact density-matrix state evolution (4-qubit QNNs fit in
 //!   a 16×16 matrix).
 //! - [`model`] — per-gate/per-qubit channel assignment plus readout error.
-//! - [`sim`] — the noisy executor that stands in for a real backend.
+//! - [`sim`] — the reference noisy interpreter (the test oracle).
+//! - [`program`] — a circuit and noise model compiled into in-place
+//!   superoperator kernels: what emulated devices execute.
 //! - [`readout`] — measurement confusion matrices.
 //! - [`trajectory`] — Monte-Carlo Pauli trajectories for wide circuits.
 //!
@@ -42,6 +44,7 @@ pub mod channels;
 pub mod density;
 pub mod kraus;
 pub mod model;
+pub mod program;
 pub mod readout;
 pub mod sim;
 pub mod trajectory;
@@ -49,6 +52,7 @@ pub mod trajectory;
 pub use density::DensityMatrix;
 pub use kraus::KrausChannel;
 pub use model::{NoiseModel, NoiseModelBuilder};
+pub use program::NoisyProgram;
 pub use readout::ReadoutError;
 pub use sim::NoisyDensitySimulator;
 pub use trajectory::{TrajectoryNoise, TrajectorySimulator};

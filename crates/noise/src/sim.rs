@@ -11,7 +11,7 @@ use crate::model::{GateNoise, NoiseModel, NoiseOpKind, WireSelect};
 use crate::readout::apply_confusion;
 
 /// Applies one noise entry after a gate on `gate_wires`.
-fn apply_noise(rho: &mut DensityMatrix, noise: &GateNoise, gate_wires: &[usize]) {
+pub(crate) fn apply_noise(rho: &mut DensityMatrix, noise: &GateNoise, gate_wires: &[usize]) {
     let single;
     let wires: &[usize] = match noise.wires {
         WireSelect::Gate => gate_wires,
@@ -26,13 +26,29 @@ fn apply_noise(rho: &mut DensityMatrix, noise: &GateNoise, gate_wires: &[usize])
     }
 }
 
+/// Per-qubit Z expectations of a `2ⁿ`-entry outcome distribution.
+pub(crate) fn expectations_from_probabilities(probs: &[f64], num_qubits: usize) -> Vec<f64> {
+    let mut ez = vec![0.0; num_qubits];
+    for (i, p) in probs.iter().enumerate() {
+        for (q, e) in ez.iter_mut().enumerate() {
+            if i & (1 << q) == 0 {
+                *e += p;
+            } else {
+                *e -= p;
+            }
+        }
+    }
+    ez
+}
+
 /// Exact noisy simulator: unitary gates interleaved with the noise model's
 /// Kraus channels, readout confusion on the final distribution, and optional
 /// finite-shot sampling.
 ///
-/// This is what stands in for a real IBM machine in this reproduction: the
-/// training loop only ever sees the shot-sampled, noise-corrupted Z
-/// expectations this simulator emits.
+/// This interpreter is the reference semantics of device noise. Emulated
+/// devices execute the same circuit and model compiled into a
+/// [`NoisyProgram`](crate::program::NoisyProgram), which the equivalence
+/// tests hold to this simulator within 1e-12.
 ///
 /// # Examples
 ///
@@ -78,8 +94,10 @@ impl NoisyDensitySimulator {
         );
         let mut rho = DensityMatrix::zero_state(circuit.num_qubits());
         for op in circuit.ops() {
-            // Specialized kernels instead of dense UρU† conjugation; noise
-            // channels interleave per gate, so no cross-gate fusion here.
+            // Specialized kernels instead of dense UρU† conjugation, one op
+            // and one channel at a time: this is the reference path. Fusing
+            // gates with their channels (and runs of 1q ops) is what
+            // `NoisyProgram` compiles.
             rho.apply_kernel(&Kernel::from_operation(op, theta));
             match op.qubits.len() {
                 1 => {
@@ -110,18 +128,7 @@ impl NoisyDensitySimulator {
     /// error.
     pub fn expectations_z(&self, circuit: &Circuit, theta: &[f64]) -> Vec<f64> {
         let probs = self.outcome_probabilities(circuit, theta);
-        let n = circuit.num_qubits();
-        let mut ez = vec![0.0; n];
-        for (i, p) in probs.iter().enumerate() {
-            for (q, e) in ez.iter_mut().enumerate() {
-                if i & (1 << q) == 0 {
-                    *e += p;
-                } else {
-                    *e -= p;
-                }
-            }
-        }
-        ez
+        expectations_from_probabilities(&probs, circuit.num_qubits())
     }
 
     /// Shot-sampled per-qubit Z expectations — exactly the statistic a real
