@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Local CI gate, staged: formatting, lints, tier-1 build+test, trace
-# validation, cross-worker determinism, fault soak, and a perf-regression
-# smoke against the committed bench baseline.
+# Local CI gate, staged: formatting, lints, tier-1 build+test, traced-run
+# analysis, cross-worker determinism, fault soak, live monitoring, and a
+# perf-regression smoke against the committed bench baseline.
 #
 # Usage:
 #   ./ci.sh                 run every stage (fail-fast, timing summary)
@@ -14,7 +14,7 @@
 set -uo pipefail
 cd "$(dirname "$0")"
 
-ALL_STAGES=(fmt clippy build test kernel-equivalence diff-equivalence trace-validate analyze determinism fault-soak monitor watch shot-alloc bench-smoke)
+ALL_STAGES=(fmt clippy build test kernel-equivalence diff-equivalence analyze determinism fault-soak monitor watch shot-alloc bench-smoke)
 
 stage_fmt() {
     cargo fmt --all -- --check
@@ -56,21 +56,16 @@ stage_diff_equivalence() {
         --test diff_equivalence --test env_diff_mode
 }
 
-stage_trace_validate() {
-    QOC_LOG=debug QOC_TRACE_FILE=results/ci_trace.jsonl \
-        cargo run --offline --release --example traced_training > /dev/null
-    # validate_trace exits 2 when the trace/manifest never appeared and 1 on
-    # schema violations — its stderr names the offending line either way.
-    cargo run --offline --release -p qoc-bench --bin validate_trace results/ci_trace.jsonl
-}
-
 stage_analyze() {
-    # Offline analysis of a traced PGP run: qoc-analyze rebuilds the span
-    # forest and exits 1 unless the trace has spans, the prune.efficacy
-    # recall curve is present, the per-batch device-time deltas reconcile
-    # with the manifest to the nanosecond, and the measured run savings is
-    # within tolerance of the paper's r·w_p/(w_a+w_p).
-    QOC_TRACE_FILE=results/ci_analyze.jsonl \
+    # One traced PGP run at QOC_LOG=debug, checked once by qoc-analyze. It
+    # exits 2 when the trace or manifest never appeared, and 1 unless every
+    # trace line passes the pinned schema (its stderr names the offending
+    # line), the manifest reports nonzero circuit-run counters, the trace
+    # has spans, the prune.efficacy recall curve is present, the per-batch
+    # device-time deltas reconcile with the manifest to the nanosecond, and
+    # the measured run savings is within tolerance of the paper's
+    # r·w_p/(w_a+w_p).
+    QOC_LOG=debug QOC_TRACE_FILE=results/ci_analyze.jsonl \
         cargo run --offline --release --example traced_training > /dev/null
     cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
         results/ci_analyze.jsonl --savings-tolerance 0.05
@@ -81,40 +76,47 @@ stage_analyze() {
     fi
 }
 
+# The step and eval records of a traced run: its train.step / train.eval
+# events with the timestamp and thread id stripped.
+trace_records() {
+    grep -E '"kind":"event".*"span":"train\.(step|eval)"' "$1" |
+        sed -E 's/"ts":[0-9]+,//; s/,"thread":[0-9]+//'
+}
+
+# Fails unless two traces hold the same, nonempty step and eval records.
+same_records() {
+    local label="$1" a="$2" b="$3"
+    if [ -z "$(trace_records "$a")" ]; then
+        echo "determinism: $a has no train.step / train.eval events" >&2
+        return 1
+    fi
+    if ! diff <(trace_records "$a") <(trace_records "$b") > /dev/null; then
+        echo "determinism: step/eval records differ between QOC_WORKERS=1 and 4$label:" >&2
+        diff <(trace_records "$a") <(trace_records "$b") | head -10 >&2
+        return 1
+    fi
+}
+
 stage_determinism() {
     # The same training run must produce identical per-step and per-eval
-    # records at any worker count: batched parameter-shift seeds every job
-    # deterministically, so parallelism must never leak into results.
+    # records (every train.step / train.eval field, runs_delta and
+    # grad_norm included) at any worker count: batched parameter-shift
+    # seeds every job deterministically, so parallelism must never leak
+    # into results.
     QOC_WORKERS=1 QOC_TRACE_FILE=results/ci_det_w1.jsonl \
         cargo run --offline --release --example traced_training > /dev/null
     QOC_WORKERS=4 QOC_TRACE_FILE=results/ci_det_w4.jsonl \
         cargo run --offline --release --example traced_training > /dev/null
-    local artifact
-    for artifact in steps.jsonl evals.jsonl; do
-        if ! diff "results/ci_det_w1.${artifact%.jsonl}.jsonl" \
-                  "results/ci_det_w4.${artifact%.jsonl}.jsonl" > /dev/null; then
-            echo "determinism: $artifact differs between QOC_WORKERS=1 and QOC_WORKERS=4:" >&2
-            diff "results/ci_det_w1.${artifact%.jsonl}.jsonl" \
-                 "results/ci_det_w4.${artifact%.jsonl}.jsonl" | head -10 >&2
-            return 1
-        fi
-    done
-    # Third leg: the SNR-adaptive shot controller on. Every controller
+    same_records "" results/ci_det_w1.jsonl results/ci_det_w4.jsonl || return 1
+    # Second leg: the SNR-adaptive shot controller on. Every controller
     # decision derives from deterministic gradient statistics, so budgets
     # and skips must not reintroduce a worker-count dependence either.
     QOC_SHOT_ALLOC=snr QOC_WORKERS=1 QOC_TRACE_FILE=results/ci_det_snr_w1.jsonl \
         cargo run --offline --release --example traced_training > /dev/null
     QOC_SHOT_ALLOC=snr QOC_WORKERS=4 QOC_TRACE_FILE=results/ci_det_snr_w4.jsonl \
         cargo run --offline --release --example traced_training > /dev/null
-    for artifact in steps.jsonl evals.jsonl; do
-        if ! diff "results/ci_det_snr_w1.${artifact%.jsonl}.jsonl" \
-                  "results/ci_det_snr_w4.${artifact%.jsonl}.jsonl" > /dev/null; then
-            echo "determinism: $artifact differs between QOC_WORKERS=1 and 4 with QOC_SHOT_ALLOC=snr:" >&2
-            diff "results/ci_det_snr_w1.${artifact%.jsonl}.jsonl" \
-                 "results/ci_det_snr_w4.${artifact%.jsonl}.jsonl" | head -10 >&2
-            return 1
-        fi
-    done
+    same_records " with QOC_SHOT_ALLOC=snr" \
+        results/ci_det_snr_w1.jsonl results/ci_det_snr_w4.jsonl || return 1
     echo "determinism: step and eval records identical at 1 and 4 workers (fixed budget and QOC_SHOT_ALLOC=snr)"
 }
 
@@ -129,16 +131,14 @@ stage_monitor() {
     # Live observability plane. Leg 1: a traced PGP run with the status
     # exporter and flight recorder on — every snapshot must parse against
     # the pinned schema, the history's cumulative counters must be monotone,
-    # the final snapshot must reconcile with the manifest to the nanosecond,
-    # and the Prometheus sibling must expose ≥ 20 well-formed metric
-    # families including qoc_grad_snr.
-    rm -f results/ci_monitor.status.json results/ci_monitor.status.history.jsonl \
-          results/ci_monitor.status.prom
+    # and the final snapshot must reconcile with the manifest to the
+    # nanosecond (on top of qoc-analyze's trace gates).
+    rm -f results/ci_monitor.status.json results/ci_monitor.status.history.jsonl
     QOC_STATUS_FILE=results/ci_monitor.status.json QOC_STATUS_EVERY=1 \
     QOC_FLIGHT_RECORDER=2048 QOC_TRACE_FILE=results/ci_monitor.jsonl \
         cargo run --offline --release --example traced_training > /dev/null
-    cargo run --offline --release -p qoc-bench --bin monitor_check -- \
-        results/ci_monitor.status.json results/ci_monitor.manifest.json
+    cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
+        results/ci_monitor.jsonl --status results/ci_monitor.status.json --quiet
     # qoc-top must render one frame from the finished snapshot.
     cargo run --offline --release -p qoc-bench --bin qoc-top -- \
         results/ci_monitor.status.json --once > /dev/null
@@ -171,37 +171,33 @@ stage_watch() {
     # share must reconcile with qoc-analyze's trace-derived share within
     # 15% relative.
     rm -f results/ci_watch.status.json results/ci_watch.status.history.jsonl \
-          results/ci_watch.status.history.jsonl.1 results/ci_watch.status.prom \
           results/ci_watch.status.alerts.jsonl results/ci_watch.profile.folded
     QOC_STATUS_FILE=results/ci_watch.status.json QOC_STATUS_EVERY=1 \
     QOC_PROFILE_HZ=97 QOC_TRACE_FILE=results/ci_watch.jsonl \
     QOC_ALERT_RULES="qoc.device.retries > 0; qoc.grad.snr p50 < 0.05 for 3 windows" \
         cargo run --offline --release --example traced_training > /dev/null
-    cargo run --offline --release -p qoc-bench --bin monitor_check -- \
-        results/ci_watch.status.json results/ci_watch.manifest.json --alerts none
     if ! [ -s results/ci_watch.profile.folded ]; then
         echo "watch: results/ci_watch.profile.folded is missing or empty" >&2
         return 1
     fi
     cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
-        results/ci_watch.jsonl --profile results/ci_watch.profile.folded \
-        --profile-tolerance 0.15 --quiet
+        results/ci_watch.jsonl --status results/ci_watch.status.json --alerts none \
+        --profile results/ci_watch.profile.folded --profile-tolerance 0.15 --quiet
     # Leg 2: the same run under a fault plan with retries left enabled — it
     # must still finish, and rules tuned to that plan must fire (device
     # retries above zero, worst-case gradient SNR under 0.5), with every
     # firing paired with a resolution or flushed as terminal at run end.
     rm -f results/ci_watch_fault.status.json \
           results/ci_watch_fault.status.history.jsonl \
-          results/ci_watch_fault.status.prom \
           results/ci_watch_fault.status.alerts.jsonl
     QOC_FAULT_PLAN="seed=7,transient=0.2,timeout=0.05,max_failures=3" \
     QOC_STATUS_FILE=results/ci_watch_fault.status.json QOC_STATUS_EVERY=1 \
     QOC_TRACE_FILE=results/ci_watch_fault.jsonl \
     QOC_ALERT_RULES="qoc.device.retries > 0; qoc.grad.snr min < 0.5" \
         cargo run --offline --release --example traced_training > /dev/null
-    cargo run --offline --release -p qoc-bench --bin monitor_check -- \
-        results/ci_watch_fault.status.json results/ci_watch_fault.manifest.json \
-        --alerts expect=qoc.device.retries,qoc.grad.snr
+    cargo run --offline --release -p qoc-bench --bin qoc-analyze -- \
+        results/ci_watch_fault.jsonl --status results/ci_watch_fault.status.json \
+        --alerts expect=qoc.device.retries,qoc.grad.snr --quiet
 }
 
 stage_shot_alloc() {

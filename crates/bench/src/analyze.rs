@@ -1,8 +1,12 @@
-//! Offline analysis of a traced run (`QOC_TRACE_FILE` JSONL plus the
-//! `.steps.jsonl` / `.evals.jsonl` / `.manifest.json` satellites).
+//! Offline analysis and checking of a traced run: the `QOC_TRACE_FILE`
+//! JSONL trace, its `<stem>.manifest.json`, and — for a status-exported
+//! run — the `QOC_STATUS_FILE` document with its history and alert log.
 //!
 //! The analyzer never talks to a backend: everything it reports is
 //! reconstructed from the artifacts a traced training run leaves behind.
+//! The trace is the only per-step record stream: step and eval counts and
+//! the measured run savings come from its `train.step` / `train.eval`
+//! events.
 //!
 //! 1. **Span forest** — span records carry only their *end* timestamp and
 //!    duration, so each span's start is `ts − dur_ns`; per thread, sorting
@@ -27,7 +31,8 @@
 //! [`Analysis::sanity_failures`] distills the CI gates: a nonempty span
 //! forest, device-time exactness, pruning efficacy present when the run
 //! pruned, and the measured run-savings landing near the paper's
-//! `r·w_p/(w_a+w_p)`.
+//! `r·w_p/(w_a+w_p)`. [`check_manifest`] requires nonzero circuit-run
+//! counters, and [`check_status_run`] gates the live status artifacts.
 
 use std::collections::BTreeMap;
 
@@ -111,37 +116,6 @@ pub fn parse_trace(text: &str) -> Result<(Vec<TraceRecord>, u64), String> {
                 return Ok((records, 1));
             }
             Err(e) => return Err(format!("trace line {}: {e}: {line}", i + 1)),
-        }
-    }
-    Ok((records, 0))
-}
-
-/// Parses a JSONL satellite with a per-line validator, returning the
-/// records plus the number of truncated tail lines tolerated (0 or 1).
-pub fn parse_satellite(
-    text: &str,
-    what: &str,
-    check: impl Fn(&Value) -> Result<(), String>,
-) -> Result<(Vec<Value>, u64), String> {
-    let mut records = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let checked = serde_json::from_str(line)
-            .map_err(|e| format!("not valid JSON ({e})"))
-            .and_then(|value| check(&value).map(|()| value));
-        match checked {
-            Ok(value) => records.push(value),
-            Err(_) if is_truncated_tail(text, i) => {
-                eprintln!(
-                    "warning: {what} line {} is a truncated tail (no trailing newline) — \
-                     tolerated as a crash artifact",
-                    i + 1
-                );
-                return Ok((records, 1));
-            }
-            Err(e) => return Err(format!("{what} line {}: {e}: {line}", i + 1)),
         }
     }
     Ok((records, 0))
@@ -372,16 +346,17 @@ pub struct Analysis {
     pub params: Vec<ParamRow>,
     /// Per-window pruning efficacy (the PGP recall curve).
     pub windows: Vec<WindowRow>,
-    /// Training steps found in `.steps.jsonl`.
+    /// `train.step` events in the trace.
     pub steps: usize,
-    /// Evaluation records found in `.evals.jsonl`.
+    /// `train.eval` events in the trace.
     pub eval_records: usize,
     /// Prefix-reuse ratio of the prefix-shared differentiation mode:
     /// Σ `gates_simulated` / Σ `naive_gates` over all `diff.prefix` spans.
     /// `None` when the trace has no prefix-shared Jacobians. Must be < 1 —
     /// otherwise prefix sharing simulated *more* gates than naive 2P replay.
     pub prefix_reuse_ratio: Option<f64>,
-    /// Run savings measured from `.steps.jsonl` evaluated-parameter counts.
+    /// Run savings measured from the `train.step` evaluated-parameter
+    /// counts.
     pub measured_savings: Option<f64>,
     /// `r·w_p/(w_a+w_p)` from the manifest's pruning config.
     pub expected_savings: Option<f64>,
@@ -391,8 +366,8 @@ pub struct Analysis {
     pub retries: u64,
     /// Best validation accuracy from the manifest.
     pub best_accuracy: Option<f64>,
-    /// Truncated tail lines tolerated across the trace and its satellites
-    /// (each file may contribute at most one; see [`is_truncated_tail`]).
+    /// Truncated tail lines tolerated in the trace (0 or 1; see
+    /// [`is_truncated_tail`]).
     pub truncated_tail_lines: u64,
     /// Σ duration of top-level `train.run` spans — the denominator for
     /// phase-share comparisons against the sampling profiler.
@@ -586,31 +561,27 @@ fn health_report(records: &[TraceRecord]) -> (Vec<ParamRow>, Vec<WindowRow>) {
     (params, windows)
 }
 
-/// Runs the full offline analysis. Satellite texts are optional — a trace
-/// from a crashed run may have none — but the report is correspondingly
-/// thinner and the savings gates become inert.
-pub fn analyze_run(
-    trace_text: &str,
-    steps_text: Option<&str>,
-    evals_text: Option<&str>,
-    manifest_text: Option<&str>,
-) -> Result<Analysis, String> {
-    let (records, trace_truncated) = parse_trace(trace_text)?;
-    let (steps, steps_truncated) = match steps_text {
-        Some(t) => parse_satellite(t, "steps satellite", schema::check_step_record)?,
-        None => (Vec::new(), 0),
-    };
-    let (evals, evals_truncated) = match evals_text {
-        Some(t) => parse_satellite(t, "evals satellite", schema::check_eval_record)?,
-        None => (Vec::new(), 0),
-    };
-    let truncated_tail_lines = trace_truncated + steps_truncated + evals_truncated;
-    let manifest = match manifest_text {
-        Some(t) => {
-            Some(serde_json::from_str(t).map_err(|e| format!("manifest is not valid JSON: {e}"))?)
-        }
-        None => None,
-    };
+/// Parses a run manifest (`<stem>.manifest.json`).
+pub fn parse_manifest(text: &str) -> Result<Value, String> {
+    serde_json::from_str(text).map_err(|e| format!("manifest is not valid JSON: {e}"))
+}
+
+/// The manifest's `ExecutionStats` device time as integer nanoseconds —
+/// the same rounding as `ExecutionStats::device_nanos`, which recovers the
+/// backend's integer counter exactly.
+fn manifest_device_ns(manifest: &Value) -> Option<u64> {
+    manifest
+        .get("execution_stats")?
+        .get("estimated_device_seconds")?
+        .as_f64()
+        .map(|secs| (secs * 1e9).round() as u64)
+}
+
+/// Runs the full offline analysis. The manifest is optional — a black-box
+/// dump has none — but without it the device-time and savings gates
+/// become inert.
+pub fn analyze_run(trace_text: &str, manifest: Option<&Value>) -> Result<Analysis, String> {
+    let (records, truncated_tail_lines) = parse_trace(trace_text)?;
 
     let forest = SpanForest::build(&records);
     let events = records.iter().filter(|r| !r.is_span).count();
@@ -633,22 +604,11 @@ pub fn analyze_run(
             .and_then(Value::as_u64)
             .unwrap_or(0)
     };
-    let backoff_wait_ns = manifest
-        .as_ref()
-        .map_or(0, |m| histogram_sum(m, "qoc.device.backoff_wait_ns"));
-    let retries = manifest
-        .as_ref()
-        .map_or(0, |m| counter(m, "qoc.device.retries"));
-    let device_ns_manifest = manifest.as_ref().and_then(|m| {
-        m.get("execution_stats")
-            .and_then(|s| s.get("estimated_device_seconds"))
-            .and_then(Value::as_f64)
-            .map(|secs| (secs * 1e9).round() as u64)
-    });
-    let best_accuracy = manifest
-        .as_ref()
-        .and_then(|m| m.get("best_accuracy").and_then(Value::as_f64));
-    let expected_savings = manifest.as_ref().and_then(expected_savings_of);
+    let backoff_wait_ns = manifest.map_or(0, |m| histogram_sum(m, "qoc.device.backoff_wait_ns"));
+    let retries = manifest.map_or(0, |m| counter(m, "qoc.device.retries"));
+    let device_ns_manifest = manifest.and_then(manifest_device_ns);
+    let best_accuracy = manifest.and_then(|m| m.get("best_accuracy").and_then(Value::as_f64));
+    let expected_savings = manifest.and_then(expected_savings_of);
 
     let (phases, device_ns_spans, device_deltas_complete) =
         phase_table(&forest, &records, backoff_wait_ns, retries);
@@ -674,9 +634,10 @@ pub fn analyze_run(
 
     // Run savings measured from the step records: the full parameter width
     // is the widest step (PGP always opens a stage with a full step).
-    let evaluated: Vec<u64> = steps
-        .iter()
-        .filter_map(|s| s.get("evaluated_params").and_then(Value::as_u64))
+    let event_named =
+        |name: &'static str| records.iter().filter(move |r| !r.is_span && r.name == name);
+    let evaluated: Vec<u64> = event_named("train.step")
+        .filter_map(|r| r.field_u64("evaluated_params"))
         .collect();
     let measured_savings = match (evaluated.iter().max(), evaluated.len()) {
         (Some(&n_full), count) if n_full > 0 && count > 0 => {
@@ -697,8 +658,8 @@ pub fn analyze_run(
         device_ns_manifest,
         params,
         windows,
-        steps: steps.len(),
-        eval_records: evals.len(),
+        steps: evaluated.len(),
+        eval_records: event_named("train.eval").count(),
         prefix_reuse_ratio,
         measured_savings,
         expected_savings,
@@ -1038,6 +999,295 @@ impl Analysis {
     }
 }
 
+/// Checks the manifest's circuit-run accounting: `execution_stats.circuits_run`
+/// and the `qoc.train.circuit_runs` / `qoc.device.circuits_run` counters
+/// must all be present and nonzero. Returns a one-line summary.
+pub fn check_manifest(manifest: &Value) -> Result<String, String> {
+    let stats_runs = manifest
+        .get("execution_stats")
+        .and_then(|s| s.get("circuits_run"))
+        .and_then(Value::as_u64)
+        .ok_or("manifest missing execution_stats.circuits_run")?;
+    if stats_runs == 0 {
+        return Err("manifest reports zero circuits run".to_string());
+    }
+    let counters = manifest
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .ok_or("manifest missing metrics.counters")?;
+    let counter = |name: &str| {
+        counters
+            .get(name)
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("manifest missing counter {name}"))
+    };
+    for name in ["qoc.train.circuit_runs", "qoc.device.circuits_run"] {
+        if counter(name)? == 0 {
+            return Err(format!("manifest counter {name} is zero"));
+        }
+    }
+    Ok(format!(
+        "manifest ok: {stats_runs} circuits run, {} steps",
+        counter("qoc.train.steps").unwrap_or(0)
+    ))
+}
+
+/// What the alert log of a status-exported run must show (`--alerts`).
+#[derive(Debug, Clone, PartialEq)]
+pub enum AlertExpectation {
+    /// The clean-run gate: zero firings.
+    None,
+    /// The fault-run gate: each substring must match ≥ 1 fired rule.
+    Expect(Vec<String>),
+}
+
+impl AlertExpectation {
+    /// Parses `none` or `expect=SUBSTR[,SUBSTR...]`.
+    pub fn parse(spec: &str) -> Result<AlertExpectation, String> {
+        match spec {
+            "none" => Ok(AlertExpectation::None),
+            s => match s.strip_prefix("expect=") {
+                Some(list) if !list.is_empty() => Ok(AlertExpectation::Expect(
+                    list.split(',').map(str::to_string).collect(),
+                )),
+                _ => Err(format!(
+                    "--alerts: unknown mode {spec:?} (none | expect=SUBSTR[,SUBSTR...])"
+                )),
+            },
+        }
+    }
+}
+
+/// Integer device counter from a status doc's `device` section.
+fn device_counter(doc: &Value, key: &str) -> Result<u64, String> {
+    doc.get("device")
+        .and_then(|d| d.get(key))
+        .and_then(Value::as_u64)
+        .ok_or_else(|| format!("status doc missing device.{key}"))
+}
+
+/// Validates the `<stem>.history.jsonl` series: at least 3 schema-valid
+/// snapshots, `step` and the cumulative device counters monotone
+/// non-decreasing, the `snapshot` counter strictly increasing, and one
+/// `run_id` throughout. Returns the final snapshot and the line count.
+fn check_history(text: &str) -> Result<(Value, u64), String> {
+    let mut last: Option<Value> = None;
+    let mut lines = 0u64;
+    let mut prev_step = 0u64;
+    let mut prev_snapshot = 0u64;
+    let mut prev_device = [0u64; 3];
+    let mut run_id: Option<String> = None;
+    for (i, line) in text.lines().enumerate() {
+        if line.is_empty() {
+            continue;
+        }
+        let at = |e: String| format!("history line {}: {e}", i + 1);
+        let doc: Value =
+            serde_json::from_str(line).map_err(|e| at(format!("not valid JSON ({e})")))?;
+        schema::check_status_doc(&doc).map_err(at)?;
+        lines += 1;
+        let step = doc.get("step").and_then(Value::as_u64).unwrap_or(0);
+        if step < prev_step {
+            return Err(at(format!(
+                "step went backwards ({step} after {prev_step})"
+            )));
+        }
+        prev_step = step;
+        let snapshot = doc.get("snapshot").and_then(Value::as_u64).unwrap_or(0);
+        if snapshot <= prev_snapshot {
+            return Err(at(format!(
+                "snapshot counter not strictly increasing ({snapshot} after {prev_snapshot})"
+            )));
+        }
+        prev_snapshot = snapshot;
+        for (slot, key) in prev_device
+            .iter_mut()
+            .zip(["circuits_run", "total_shots", "device_ns"])
+        {
+            let v = device_counter(&doc, key).map_err(at)?;
+            if v < *slot {
+                return Err(at(format!(
+                    "device.{key} went backwards ({v} after {slot})"
+                )));
+            }
+            *slot = v;
+        }
+        let id = doc
+            .get("run_id")
+            .and_then(Value::as_str)
+            .unwrap_or_default()
+            .to_string();
+        match &run_id {
+            None => run_id = Some(id),
+            Some(prev) if *prev != id => {
+                return Err(at(format!("run_id changed mid-series ({prev} → {id})")))
+            }
+            Some(_) => {}
+        }
+        last = Some(doc);
+    }
+    if lines < 3 {
+        return Err(format!(
+            "history has only {lines} snapshots (need ≥ 3 — did the run export per step?)"
+        ));
+    }
+    Ok((last.expect("lines ≥ 3"), lines))
+}
+
+/// Reconciles a snapshot against the run manifest — exact integer
+/// equality of the device counters (device time to the nanosecond) and the
+/// same `run_id`.
+fn reconcile_snapshot(doc: &Value, manifest: &Value) -> Result<(), String> {
+    let stat = |key: &str| {
+        manifest
+            .get("execution_stats")
+            .and_then(|s| s.get(key))
+            .and_then(Value::as_u64)
+            .ok_or_else(|| format!("manifest missing execution_stats.{key}"))
+    };
+    let device_ns = manifest_device_ns(manifest)
+        .ok_or("manifest missing execution_stats.estimated_device_seconds")?;
+    for (key, manifest_value) in [
+        ("circuits_run", stat("circuits_run")?),
+        ("total_shots", stat("total_shots")?),
+        ("device_ns", device_ns),
+    ] {
+        let snapshot_value = device_counter(doc, key)?;
+        if snapshot_value != manifest_value {
+            return Err(format!(
+                "snapshot device.{key} = {snapshot_value} but manifest says \
+                 {manifest_value} (must reconcile exactly)"
+            ));
+        }
+    }
+    let doc_run_id = doc.get("run_id").and_then(Value::as_str);
+    let manifest_run_id = manifest.get("run_id").and_then(Value::as_str);
+    if doc_run_id != manifest_run_id {
+        return Err(format!(
+            "run_id mismatch: snapshot {doc_run_id:?} vs manifest {manifest_run_id:?}"
+        ));
+    }
+    Ok(())
+}
+
+/// Validates an alert log (`<stem>.alerts.jsonl`): schema per line, every
+/// `fired` entry paired with a later `resolved` or `terminal` entry for
+/// the same (rule, metric), and the firing set matching `expectation`.
+/// An absent log is the empty text. Returns a one-line summary.
+fn check_alerts(text: &str, expectation: &AlertExpectation) -> Result<String, String> {
+    // (rule, metric) → outstanding firing count. Re-fires after a resolve
+    // are legal, so this is a counter, not a set.
+    let mut open: BTreeMap<(String, String), u64> = BTreeMap::new();
+    let mut fired_rules: Vec<String> = Vec::new();
+    for (i, line) in text.lines().enumerate() {
+        if line.is_empty() {
+            continue;
+        }
+        let doc: Value = serde_json::from_str(line)
+            .map_err(|e| format!("alerts line {}: not valid JSON ({e})", i + 1))?;
+        schema::check_alert_line(&doc).map_err(|e| format!("alerts line {}: {e}", i + 1))?;
+        let field = |k: &str| {
+            doc.get(k)
+                .and_then(Value::as_str)
+                .unwrap_or_default()
+                .to_string()
+        };
+        let key = (field("rule"), field("metric"));
+        match field("kind").as_str() {
+            "fired" => {
+                fired_rules.push(key.0.clone());
+                *open.entry(key).or_insert(0) += 1;
+            }
+            kind => {
+                let outstanding = open.entry(key.clone()).or_insert(0);
+                if *outstanding == 0 {
+                    return Err(format!(
+                        "alerts line {}: {kind:?} for {} [{}] without a prior firing",
+                        i + 1,
+                        key.1,
+                        key.0
+                    ));
+                }
+                *outstanding -= 1;
+            }
+        }
+    }
+    if let Some(((rule, metric), n)) = open.iter().find(|(_, n)| **n > 0) {
+        return Err(format!(
+            "{n} firing(s) of {metric} [{rule}] never resolved or flushed terminal — \
+             every firing must be paired with an outcome"
+        ));
+    }
+    match expectation {
+        AlertExpectation::None if !fired_rules.is_empty() => Err(format!(
+            "expected a clean run but {} alert(s) fired: {}",
+            fired_rules.len(),
+            fired_rules.join("; ")
+        )),
+        AlertExpectation::None => Ok("alerts ok: clean run, zero firings".to_string()),
+        AlertExpectation::Expect(substrings) => {
+            if let Some(want) = substrings
+                .iter()
+                .find(|want| !fired_rules.iter().any(|r| r.contains(want.as_str())))
+            {
+                return Err(format!(
+                    "expected a firing matching {want:?} but fired rules were: [{}]",
+                    fired_rules.join("; ")
+                ));
+            }
+            Ok(format!(
+                "alerts ok: {} firing(s), all paired, expectations {substrings:?} met",
+                fired_rules.len()
+            ))
+        }
+    }
+}
+
+/// Gates the live status artifacts of a finished run: the status document
+/// parses, passes the schema and is `"finished"`; the history passes
+/// `check_history`; both the document and the history's last line
+/// reconcile exactly with the manifest (the terminal snapshot is written
+/// to both, so a divergence means a stray heartbeat won a race); and, when
+/// `alerts` is given, the log passes `check_alerts`. Returns one summary
+/// line per artifact.
+pub fn check_status_run(
+    status_text: &str,
+    history_text: &str,
+    manifest: &Value,
+    alerts: Option<(&str, &AlertExpectation)>,
+) -> Result<Vec<String>, String> {
+    let status: Value = serde_json::from_str(status_text)
+        .map_err(|e| format!("status file is not valid JSON: {e}"))?;
+    schema::check_status_doc(&status).map_err(|e| format!("status file: {e}"))?;
+    match status.get("state").and_then(Value::as_str) {
+        Some("finished") => {}
+        other => {
+            return Err(format!(
+                "status file state is {other:?}, expected \"finished\" — the run did not \
+                 publish its terminal snapshot"
+            ))
+        }
+    }
+    let (final_doc, lines) = check_history(history_text)?;
+    reconcile_snapshot(&status, manifest).map_err(|e| format!("status file: {e}"))?;
+    reconcile_snapshot(&final_doc, manifest).map_err(|e| format!("final history line: {e}"))?;
+    let mut summary = vec![
+        "status file ok: terminal state \"finished\"".to_string(),
+        format!("history ok: {lines} snapshots, monotone counters"),
+        format!(
+            "manifest reconciled: {} circuits, {} shots, {} device-ns, run_id {}",
+            device_counter(&status, "circuits_run")?,
+            device_counter(&status, "total_shots")?,
+            device_counter(&status, "device_ns")?,
+            status.get("run_id").and_then(Value::as_str).unwrap_or("?")
+        ),
+    ];
+    if let Some((text, expectation)) = alerts {
+        summary.push(check_alerts(text, expectation)?);
+    }
+    Ok(summary)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1102,7 +1352,7 @@ mod tests {
         .join("\n");
         assert!(parse_trace(&corrupt).is_err());
         // The tolerated count surfaces in the report.
-        let analysis = analyze_run(&trace, None, None, None).unwrap();
+        let analysis = analyze_run(&trace, None).unwrap();
         assert_eq!(analysis.truncated_tail_lines, 1);
         assert!(analysis
             .to_markdown()
@@ -1121,7 +1371,7 @@ mod tests {
             span_line(300, "grad.minibatch", 0, 100),
         ]
         .join("\n");
-        let analysis = analyze_run(&trace, None, None, None).unwrap();
+        let analysis = analyze_run(&trace, None).unwrap();
         let ratio = analysis.prefix_reuse_ratio.unwrap();
         assert!((ratio - 312.0 / 768.0).abs() < 1e-12);
         let labels: Vec<&str> = analysis.phases.iter().map(|p| p.phase.as_str()).collect();
@@ -1140,7 +1390,7 @@ mod tests {
     #[test]
     fn prefix_reuse_ratio_of_one_or_more_fails_sanity() {
         let trace = r#"{"ts":250,"kind":"span","level":"debug","span":"diff.prefix","thread":0,"dur_ns":40,"fields":{"rows":8,"forks":16,"naive_gates":768,"gates_simulated":768}}"#.to_string();
-        let analysis = analyze_run(&trace, None, None, None).unwrap();
+        let analysis = analyze_run(&trace, None).unwrap();
         assert_eq!(analysis.prefix_reuse_ratio, Some(1.0));
         let failures = analysis.sanity_failures(0.05);
         assert!(
@@ -1152,7 +1402,7 @@ mod tests {
     #[test]
     fn traces_without_diff_spans_have_no_ratio_or_mode_rows() {
         let trace = span_line(100, "grad.minibatch", 0, 100);
-        let analysis = analyze_run(&trace, None, None, None).unwrap();
+        let analysis = analyze_run(&trace, None).unwrap();
         assert_eq!(analysis.prefix_reuse_ratio, None);
         assert!(analysis.phases.iter().all(|p| !p.phase.contains('/')));
         assert!(analysis.sanity_failures(0.05).is_empty());
@@ -1167,7 +1417,7 @@ mod tests {
             span_line(1000, "train.run", 0, 1000),
         ]
         .join("\n");
-        let analysis = analyze_run(&trace, None, None, None).unwrap();
+        let analysis = analyze_run(&trace, None).unwrap();
         assert_eq!(analysis.run_wall_ns, 1000);
 
         // 58/100 run-rooted samples on jacobian stacks (3.3% off — within
@@ -1205,5 +1455,204 @@ mod tests {
         assert!((s - 1.0 / 3.0).abs() < 1e-12);
         let none = serde_json::from_str(r#"{"config":{"pruning":"None"}}"#).unwrap();
         assert_eq!(expected_savings_of(&none), None);
+    }
+
+    fn step_event(step: u64, evaluated: u64) -> String {
+        format!(
+            r#"{{"ts":{step},"kind":"event","level":"info","span":"train.step","thread":0,"fields":{{"step":{step},"loss":0.5,"lr":0.2,"evaluated_params":{evaluated},"inferences":100,"runs_delta":10,"grad_norm":0.1}}}}"#
+        )
+    }
+
+    #[test]
+    fn step_and_eval_records_come_from_trace_events() {
+        // [8,4,4] evaluated params over one PGP stage: savings 1 − 16/24.
+        let trace = [
+            step_event(0, 8),
+            step_event(1, 4),
+            step_event(2, 4),
+            r#"{"ts":9,"kind":"event","level":"info","span":"train.eval","thread":0,"fields":{"step":2,"inferences":300,"accuracy":0.75}}"#.to_string(),
+            // A train.step *span* is timing, not a step record.
+            span_line(10, "train.step", 0, 5),
+        ]
+        .join("\n");
+        let analysis = analyze_run(&trace, None).unwrap();
+        assert_eq!((analysis.steps, analysis.eval_records), (3, 1));
+        let measured = analysis.measured_savings.unwrap();
+        assert!((measured - 1.0 / 3.0).abs() < 1e-12, "{measured}");
+        // A step event missing its payload is a schema violation.
+        let bad = step_event(0, 8).replace("\"evaluated_params\"", "\"evaluated\"") + "\n";
+        let err = analyze_run(&bad, None).unwrap_err();
+        assert!(err.contains("evaluated_params"), "{err}");
+    }
+
+    const MANIFEST: &str = r#"{"run_id":"9a1f0c44d2e6b013","execution_stats":{"circuits_run":740,"total_shots":757760,"estimated_device_seconds":0.091234567},"metrics":{"counters":{"qoc.train.circuit_runs":700,"qoc.device.circuits_run":740,"qoc.train.steps":9}}}"#;
+
+    fn snapshot(snapshot: u64, step: u64, circuits: u64, device_ns: u64, state: &str) -> String {
+        format!(
+            r#"{{"schema_version":1,"run_id":"9a1f0c44d2e6b013","state":"{state}","backend":"fake_santiago","step":{step},"steps_total":9,"loss":0.41,"best_accuracy":0.75,"prune_phase":"pruning","snapshot":{snapshot},"uptime_ns":1200,"step_rate":1.5,"device":{{"circuits_run":{circuits},"total_shots":{shots},"device_ns":{device_ns}}}}}"#,
+            shots = circuits * 1024,
+        )
+    }
+
+    /// A clean three-snapshot history ending on the manifest's totals.
+    fn history() -> Vec<String> {
+        vec![
+            snapshot(1, 1, 100, 10_000_000, "running"),
+            snapshot(2, 5, 400, 50_000_000, "running"),
+            snapshot(3, 9, 740, 91_234_567, "finished"),
+        ]
+    }
+
+    fn manifest() -> Value {
+        parse_manifest(MANIFEST).unwrap()
+    }
+
+    fn status_run(
+        history: &[String],
+        alerts: Option<(&str, &AlertExpectation)>,
+    ) -> Result<Vec<String>, String> {
+        let status = history.last().unwrap();
+        check_status_run(status, &(history.join("\n") + "\n"), &manifest(), alerts)
+    }
+
+    #[test]
+    fn clean_status_run_passes_every_gate() {
+        let summary = status_run(&history(), Some(("", &AlertExpectation::None))).unwrap();
+        assert_eq!(summary.len(), 4, "{summary:?}");
+        assert!(summary[2].contains("91234567 device-ns"), "{summary:?}");
+        assert_eq!(manifest_device_ns(&manifest()), Some(91_234_567));
+    }
+
+    #[test]
+    fn history_counters_going_backwards_fail() {
+        // Each case rewinds one counter in the middle snapshot while the
+        // snapshot counter keeps increasing.
+        for (step, circuits, device_ns, want) in [
+            (0, 400, 50_000_000, "line 2: step went backwards"),
+            (
+                5,
+                90,
+                50_000_000,
+                "line 2: device.circuits_run went backwards",
+            ),
+            (5, 400, 5_000_000, "line 2: device.device_ns went backwards"),
+        ] {
+            let mut h = history();
+            h[1] = snapshot(2, step, circuits, device_ns, "running");
+            let err = status_run(&h, None).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
+    }
+
+    #[test]
+    fn run_id_change_mid_series_fails() {
+        let mut h = history();
+        h[1] = h[1].replace("9a1f0c44d2e6b013", "0000000000000001");
+        let err = status_run(&h, None).unwrap_err();
+        assert!(err.contains("run_id changed mid-series"), "{err}");
+    }
+
+    #[test]
+    fn short_or_truncated_history_fails() {
+        let h = history();
+        let err = status_run(&h[1..], None).unwrap_err();
+        assert!(err.contains("only 2 snapshots"), "{err}");
+        // A history cut mid-line is malformed, not forgiven: the tail rule
+        // applies only to the trace.
+        let cut = h.join("\n");
+        let cut = &cut[..cut.len() - 20];
+        let err = check_status_run(h.last().unwrap(), cut, &manifest(), None).unwrap_err();
+        assert!(err.contains("history line 3: not valid JSON"), "{err}");
+    }
+
+    #[test]
+    fn final_snapshot_one_nanosecond_off_fails() {
+        let mut h = history();
+        h[2] = snapshot(3, 9, 740, 91_234_568, "finished");
+        let err = status_run(&h, None).unwrap_err();
+        assert!(
+            err.contains("device.device_ns = 91234568 but manifest says 91234567"),
+            "{err}"
+        );
+        // The status document and the history's last line are each
+        // reconciled: an off-by-one in the history alone also fails.
+        let good_status = history()[2].clone();
+        let err =
+            check_status_run(&good_status, &(h.join("\n") + "\n"), &manifest(), None).unwrap_err();
+        assert!(err.starts_with("final history line:"), "{err}");
+    }
+
+    #[test]
+    fn unfinished_status_doc_fails() {
+        let mut h = history();
+        h[2] = h[2].replace("\"finished\"", "\"running\"");
+        let err = status_run(&h, None).unwrap_err();
+        assert!(err.contains("expected \"finished\""), "{err}");
+    }
+
+    fn alert_line(kind: &str, snapshot: u64) -> String {
+        format!(
+            r#"{{"ts_ns":{snapshot},"kind":"{kind}","rule":"qoc.device.retries > 0","metric":"qoc.device.retries","value":3,"threshold":0,"windows":1,"snapshot":{snapshot}}}"#
+        )
+    }
+
+    #[test]
+    fn resolve_without_prior_firing_fails() {
+        let log = alert_line("resolved", 2) + "\n";
+        let expect = AlertExpectation::parse("expect=qoc.device.retries").unwrap();
+        let err = check_alerts(&log, &expect).unwrap_err();
+        assert!(err.contains("without a prior firing"), "{err}");
+    }
+
+    #[test]
+    fn unpaired_firing_fails() {
+        let log = [
+            alert_line("fired", 1),
+            alert_line("resolved", 2),
+            alert_line("fired", 3),
+        ]
+        .join("\n");
+        let expect = AlertExpectation::parse("expect=qoc.device.retries").unwrap();
+        let err = check_alerts(&log, &expect).unwrap_err();
+        assert!(err.contains("never resolved or flushed terminal"), "{err}");
+        // Paired with a terminal flush, the same log passes the expectation.
+        let paired = log + "\n" + &alert_line("terminal", 4);
+        assert!(check_alerts(&paired, &expect)
+            .unwrap()
+            .contains("2 firing(s)"));
+    }
+
+    #[test]
+    fn alerts_none_rejects_a_firing_and_expect_needs_a_match() {
+        let log = [alert_line("fired", 1), alert_line("resolved", 2)].join("\n");
+        let none = AlertExpectation::parse("none").unwrap();
+        let err = status_run(&history(), Some((&log, &none))).unwrap_err();
+        assert!(
+            err.contains("expected a clean run but 1 alert(s) fired"),
+            "{err}"
+        );
+        let other = AlertExpectation::parse("expect=qoc.grad.snr").unwrap();
+        let err = check_alerts(&log, &other).unwrap_err();
+        assert!(err.contains("\"qoc.grad.snr\""), "{err}");
+        assert!(AlertExpectation::parse("expect=").is_err());
+        assert!(AlertExpectation::parse("sometimes").is_err());
+    }
+
+    #[test]
+    fn manifest_with_zero_circuits_run_fails() {
+        assert!(check_manifest(&manifest())
+            .unwrap()
+            .contains("740 circuits run"));
+        let zero = parse_manifest(&MANIFEST.replace("\"circuits_run\":740", "\"circuits_run\":0"))
+            .unwrap();
+        let err = check_manifest(&zero).unwrap_err();
+        assert!(err.contains("zero circuits run"), "{err}");
+        let zero_counter = parse_manifest(&MANIFEST.replace(
+            "\"qoc.train.circuit_runs\":700",
+            "\"qoc.train.circuit_runs\":0",
+        ))
+        .unwrap();
+        let err = check_manifest(&zero_counter).unwrap_err();
+        assert!(err.contains("qoc.train.circuit_runs is zero"), "{err}");
     }
 }

@@ -14,7 +14,7 @@ use std::path::Path;
 
 use serde::Value;
 
-use qoc_bench::analyze::analyze_run;
+use qoc_bench::analyze::{analyze_run, check_manifest, parse_manifest};
 use qoc_core::engine::{train, PruningKind, TrainConfig};
 use qoc_core::optim::OptimizerKind;
 use qoc_core::prune::PruneConfig;
@@ -73,18 +73,18 @@ fn analyzer_reconciles_device_time_and_savings_on_a_pgp_run() {
     assert!(result.total_inferences > 0);
     qoc_telemetry::flush();
 
-    let analysis = analyze_run(
-        &read(&trace_path),
-        Some(&read(&trace_path.with_extension("steps.jsonl"))),
-        Some(&read(&trace_path.with_extension("evals.jsonl"))),
-        Some(&read(&trace_path.with_extension("manifest.json"))),
-    )
-    .expect("traced run analyzes cleanly");
+    let manifest = parse_manifest(&read(&trace_path.with_extension("manifest.json")))
+        .expect("manifest parses");
+    check_manifest(&manifest).expect("manifest reports nonzero circuit runs");
+    let analysis =
+        analyze_run(&read(&trace_path), Some(&manifest)).expect("traced run analyzes cleanly");
 
-    // A real span forest came out of the run.
+    // A real span forest came out of the run; the trace's train.step /
+    // train.eval events are the run's step and eval records.
     assert!(analysis.spans > 0, "no spans reconstructed");
     assert!(analysis.folded.iter().any(|l| l.contains("train.run")));
     assert_eq!(analysis.steps, steps);
+    assert_eq!(analysis.eval_records, result.evals.len());
 
     // Device-time exactness: every device.batch span carried its integer
     // device_ns delta, and the deltas telescope to the manifest's

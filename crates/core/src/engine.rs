@@ -254,13 +254,6 @@ struct StatsBase {
     nanos: u64,
 }
 
-/// Recovers the integer nanoseconds behind `estimated_device_seconds`
-/// (stored internally as a nanosecond counter; the `/1e9` is undone by
-/// rounding, exact for any plausible run length).
-fn stats_nanos(stats: &ExecutionStats) -> u64 {
-    (stats.estimated_device_seconds * 1e9).round() as u64
-}
-
 /// Everything needed to replay the current step from scratch, captured
 /// before the step consumes RNG draws or mutates state. An execution
 /// failure mid-step turns this into an emergency checkpoint with
@@ -758,7 +751,7 @@ fn train_impl(
                     best_accuracy,
                     inferences_base: base.circuits + backend.stats().circuits_run,
                     total_shots_base: base.shots + backend.stats().total_shots,
-                    device_ns_base: base.nanos + stats_nanos(&backend.stats()),
+                    device_ns_base: base.nanos + backend.stats().device_nanos(),
                 };
                 match state.save(&ck.path) {
                     Ok(()) => {
@@ -815,7 +808,7 @@ fn train_impl(
     let totals = ExecutionStats {
         circuits_run: base.circuits + stats.circuits_run,
         total_shots: base.shots + stats.total_shots,
-        estimated_device_seconds: (base.nanos + stats_nanos(&stats)) as f64 / 1e9,
+        estimated_device_seconds: (base.nanos + stats.device_nanos()) as f64 / 1e9,
     };
     // Terminal status snapshot: same integers as the manifest, so the last
     // snapshot of a finished run reconciles to the nanosecond.
@@ -831,7 +824,7 @@ fn train_impl(
             prune_phase: prune_phase(&pruner.state()).to_string(),
             circuits_run: totals.circuits_run,
             total_shots: totals.total_shots,
-            device_ns: base.nanos + stats_nanos(&stats),
+            device_ns: base.nanos + stats.device_nanos(),
         });
     }
     if let Some(trace_path) = qoc_telemetry::trace_file_path() {
@@ -839,8 +832,6 @@ fn train_impl(
             &trace_path,
             config,
             &run_id,
-            &steps,
-            &evals,
             &totals,
             backend.name(),
             best_accuracy,
@@ -863,7 +854,7 @@ fn combined_stats_base(backend: &dyn QuantumBackend, base: StatsBase) -> StatsBa
     StatsBase {
         circuits: base.circuits + stats.circuits_run,
         shots: base.shots + stats.total_shots,
-        nanos: base.nanos + stats_nanos(&stats),
+        nanos: base.nanos + stats.device_nanos(),
     }
 }
 
@@ -983,41 +974,21 @@ fn dump_blackbox(checkpoint: Option<&std::path::Path>) -> Option<PathBuf> {
     }
 }
 
-/// Writes one serialized record per line (JSONL).
-fn write_jsonl<T: serde::Serialize>(path: &std::path::Path, records: &[T]) {
-    let mut out = String::new();
-    for record in records {
-        if let Ok(line) = serde_json::to_string(record) {
-            out.push_str(&line);
-            out.push('\n');
-        }
-    }
-    if let Err(e) = std::fs::write(path, out) {
-        eprintln!("qoc: failed to write {}: {e}", path.display());
-    }
-}
-
-/// Persists the run next to the trace file (`QOC_TRACE_FILE`): per-step and
-/// per-checkpoint records as JSONL (`<stem>.steps.jsonl`,
-/// `<stem>.evals.jsonl`) and a run manifest (`<stem>.manifest.json`) tying
-/// together the config, environment, execution stats, and a final snapshot
-/// of the global metrics registry. I/O failures are reported to stderr, not
+/// Persists the run manifest next to the trace file (`QOC_TRACE_FILE`):
+/// `<stem>.manifest.json` ties together the config, environment, execution
+/// stats, and a final snapshot of the global metrics registry. The per-step
+/// and per-checkpoint records live in the trace itself, as `train.step` /
+/// `train.eval` events. I/O failures are reported to stderr, not
 /// propagated — telemetry must never fail a training run.
-#[allow(clippy::too_many_arguments)]
 fn persist_run(
     trace_path: &std::path::Path,
     config: &TrainConfig,
     run_id: &str,
-    steps: &[StepRecord],
-    evals: &[EvalRecord],
     stats: &ExecutionStats,
     backend_name: &str,
     best_accuracy: f64,
 ) {
     use serde::Value;
-
-    write_jsonl(&trace_path.with_extension("steps.jsonl"), steps);
-    write_jsonl(&trace_path.with_extension("evals.jsonl"), evals);
 
     // Continuous-profiler flush (`QOC_PROFILE_HZ`): collapsed stacks as a
     // flamegraph-ready sibling, per-span totals in the manifest.

@@ -476,7 +476,7 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
     fn run_batch_workers(&self, jobs: &[CircuitJob<'_>], workers: usize) -> BatchResult {
         /// One job's terminal outcome: expectations, or `(attempts, error)`.
         type JobOutcome = Result<Vec<f64>, (u32, JobError)>;
-        let workers = workers.max(1).min(jobs.len());
+        let workers = workers.clamp(1, jobs.len().max(1));
         let policy = self.retry_policy();
         let mut span = qoc_telemetry::span!(
             "device.batch",
@@ -494,31 +494,19 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
         // exact device-time and circuit deltas (they telescope to the run
         // totals, which qoc-analyze checks to the nanosecond).
         let before_stats = span.as_ref().map(|_| self.stats());
-        let finish = |slots: Vec<Result<Vec<f64>, (u32, JobError)>>| -> BatchResult {
-            let mut out = Vec::with_capacity(slots.len());
-            for (i, slot) in slots.into_iter().enumerate() {
-                match slot {
-                    Ok(result) => out.push(result),
-                    Err((attempts, error)) => {
-                        return Err(BatchError {
-                            job_index: i,
-                            job_seed: jobs[i].seed,
-                            attempts,
-                            error,
-                        })
-                    }
-                }
-            }
-            Ok(out)
-        };
-        if workers <= 1 {
+        // One worker's strided share of the batch: worker `w` runs jobs `w`,
+        // `w + workers`, … and returns each outcome with its job index.
+        let run_worker = |w: usize| -> Vec<(usize, JobOutcome)> {
             let mut busy_ns = 0u64;
             if let Some((m, _)) = &telemetry {
                 m.workers_delta(1);
             }
-            let slots: Vec<_> = jobs
+            let out: Vec<_> = jobs
                 .iter()
-                .map(|job| {
+                .enumerate()
+                .skip(w)
+                .step_by(workers)
+                .map(|(i, job)| {
                     let start = telemetry.as_ref().map(|(m, epoch)| {
                         m.queue_wait_ns.record(epoch.elapsed().as_nanos() as u64);
                         Instant::now()
@@ -531,75 +519,35 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
                         busy_ns += dur;
                         m.job_finished();
                     }
-                    result
+                    (i, result)
                 })
                 .collect();
             if let Some((m, _)) = &telemetry {
-                m.worker_jobs.record(jobs.len() as u64);
+                m.worker_jobs.record(out.len() as u64);
                 m.worker_busy_ns.record(busy_ns);
                 m.workers_delta(-1);
             }
-            if let (Some(s), Some(before)) = (span.as_mut(), before_stats) {
-                let after = self.stats();
-                s.field(
-                    "circuits",
-                    after.circuits_run.saturating_sub(before.circuits_run),
-                );
-                s.field(
-                    "device_ns",
-                    after.device_nanos().saturating_sub(before.device_nanos()),
-                );
-            }
-            return finish(slots);
-        }
+            out
+        };
         let mut slots: Vec<Option<JobOutcome>> = vec![None; jobs.len()];
-        std::thread::scope(|scope| {
-            let telemetry = &telemetry;
-            let policy = &policy;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut busy_ns = 0u64;
-                        if let Some((m, _)) = telemetry {
-                            m.workers_delta(1);
-                        }
-                        let out: Vec<_> = jobs
-                            .iter()
-                            .enumerate()
-                            .skip(w)
-                            .step_by(workers)
-                            .map(|(i, job)| {
-                                let start = telemetry.as_ref().map(|(m, epoch)| {
-                                    m.queue_wait_ns.record(epoch.elapsed().as_nanos() as u64);
-                                    Instant::now()
-                                });
-                                let result = run_job_with_retry(job, policy, |attempt, j| {
-                                    self.try_run_job(j, attempt)
-                                });
-                                if let (Some(start), Some((m, _))) = (start, telemetry) {
-                                    let dur = start.elapsed().as_nanos() as u64;
-                                    m.job_wall_ns.record(dur);
-                                    busy_ns += dur;
-                                    m.job_finished();
-                                }
-                                (i, result)
-                            })
-                            .collect();
-                        if let Some((m, _)) = telemetry {
-                            m.worker_jobs.record(out.len() as u64);
-                            m.worker_busy_ns.record(busy_ns);
-                            m.workers_delta(-1);
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (i, result) in handle.join().expect("batch worker panicked") {
-                    slots[i] = Some(result);
-                }
+        if workers == 1 {
+            // A single worker runs inline on the calling thread: no spawn.
+            for (i, result) in run_worker(0) {
+                slots[i] = Some(result);
             }
-        });
+        } else {
+            std::thread::scope(|scope| {
+                let run_worker = &run_worker;
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| scope.spawn(move || run_worker(w)))
+                    .collect();
+                for handle in handles {
+                    for (i, result) in handle.join().expect("batch worker panicked") {
+                        slots[i] = Some(result);
+                    }
+                }
+            });
+        }
         if let (Some(s), Some(before)) = (span.as_mut(), before_stats) {
             let after = self.stats();
             s.field(
@@ -611,12 +559,21 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
                 after.device_nanos().saturating_sub(before.device_nanos()),
             );
         }
-        finish(
-            slots
-                .into_iter()
-                .map(|r| r.expect("strided assignment covers every job"))
-                .collect(),
-        )
+        let mut out = Vec::with_capacity(jobs.len());
+        for (i, slot) in slots.into_iter().enumerate() {
+            match slot.expect("strided assignment covers every job") {
+                Ok(result) => out.push(result),
+                Err((attempts, error)) => {
+                    return Err(BatchError {
+                        job_index: i,
+                        job_seed: jobs[i].seed,
+                        attempts,
+                        error,
+                    })
+                }
+            }
+        }
+        Ok(out)
     }
 
     /// How this backend can evaluate Jacobians. Defaults to the universally

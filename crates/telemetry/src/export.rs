@@ -1,10 +1,10 @@
-//! Live status export: atomic JSON snapshots + Prometheus sibling.
+//! Live status export: atomic JSON snapshots plus a per-step history.
 //!
 //! When `QOC_STATUS_FILE` is set, the training engine publishes a status
 //! document every `QOC_STATUS_EVERY` steps (default 1), and the device
 //! worker pool refreshes it on a time floor between steps — so even a long
 //! Jacobian (hundreds of queued circuit batches inside one step) keeps the
-//! file alive. Three artifacts, all derived from the same snapshot:
+//! file alive. Two artifacts, both derived from the same snapshot:
 //!
 //! - **`QOC_STATUS_FILE`** — a single JSON status document, replaced via
 //!   tmp+rename so a concurrent reader (`qoc-top`, the CI monitor check)
@@ -12,14 +12,13 @@
 //!   [`schema::check_status_doc`](crate::schema::check_status_doc).
 //! - **`<stem>.history.jsonl`** — one appended line per *step* snapshot
 //!   (heartbeats refresh the main file only), giving `qoc-top` its loss
-//!   sparkline and CI its monotonicity check.
-//! - **`<stem>.prom`** — the full metrics registry in Prometheus text
-//!   format (see [`prom`](crate::prom)).
+//!   sparkline and CI its monotonicity check. It grows by one line per
+//!   published step and is never rotated.
 //!
 //! Each exporter owns an [`AlertEngine`] (rules from `QOC_ALERT_RULES` for
 //! the process-wide exporter, [`StatusExporter::with_alert_rules`] for an
 //! owned one) and evaluates it at every publication; transitions land in a
-//! fourth sibling, `<stem>.alerts.jsonl`.
+//! third sibling, `<stem>.alerts.jsonl`.
 //!
 //! The device counters in the document (`device.circuits_run`,
 //! `device.total_shots`, `device.device_ns`) are stamped by the engine from
@@ -39,7 +38,6 @@ use std::time::Instant;
 
 use crate::alerts::{self, AlertEngine};
 use crate::metrics::{MetricsSnapshot, Registry};
-use crate::prom;
 use crate::Level;
 
 /// Minimum wall time between heartbeat refreshes of the status file while
@@ -48,9 +46,6 @@ const HEARTBEAT_FLOOR_MS: u128 = 2_000;
 
 /// EMA smoothing for the step rate: weight of the newest inter-step rate.
 const RATE_EMA_ALPHA: f64 = 0.3;
-
-/// Default cap on `<stem>.history.jsonl` lines before rotate-on-cap.
-pub const DEFAULT_HISTORY_MAX: u64 = 10_000;
 
 /// Engine-stamped core of a status snapshot — everything the metrics
 /// registry can *not* provide exactly: run identity, training progress, and
@@ -91,9 +86,6 @@ struct ExportState {
     step_rate: Option<f64>,
     /// Snapshots published so far (strictly increasing `snapshot` field).
     snapshots: u64,
-    /// Lines currently in the history sibling (`None` until first counted,
-    /// so a pre-existing file from a resumed run is respected).
-    history_lines: Option<u64>,
 }
 
 /// Writes live status snapshots (see module docs). The process-wide one is
@@ -103,9 +95,6 @@ struct ExportState {
 pub struct StatusExporter {
     path: PathBuf,
     every: u64,
-    /// History-sibling line cap: reaching it atomically rotates the file to
-    /// `<stem>.history.jsonl.1` and starts fresh.
-    history_max: u64,
     /// Rules evaluated at every publication.
     alerts: AlertEngine,
     epoch: Instant,
@@ -167,18 +156,10 @@ impl StatusExporter {
         StatusExporter {
             path,
             every: every.max(1),
-            history_max: DEFAULT_HISTORY_MAX,
             alerts: AlertEngine::default(),
             epoch: Instant::now(),
             state: Mutex::new(ExportState::default()),
         }
-    }
-
-    /// Overrides the history-rotation cap (tests; production keeps
-    /// [`DEFAULT_HISTORY_MAX`]).
-    pub fn with_history_max(mut self, max: u64) -> Self {
-        self.history_max = max.max(1);
-        self
     }
 
     /// Installs alert rules (semicolon-separated, see
@@ -255,7 +236,7 @@ impl StatusExporter {
         }
     }
 
-    /// Renders and writes all three artifacts. `with_history` appends one
+    /// Renders and writes the status file. `with_history` appends one
     /// line to the history sibling (step snapshots yes, heartbeats no —
     /// history is the per-step series CI checks for monotonicity).
     fn publish(&self, st: &mut ExportState, with_history: bool) {
@@ -273,8 +254,8 @@ impl StatusExporter {
         }
         if !transitions.is_empty() {
             self.record_transitions(&transitions, st.snapshots);
-            // Re-snapshot so the document and Prometheus sibling include
-            // the qoc.alerts.* metrics the transitions just bumped.
+            // Re-snapshot so the document includes the qoc.alerts.* metrics
+            // the transitions just bumped.
             metrics = Registry::global().snapshot();
         }
         let doc = status_doc(
@@ -292,34 +273,9 @@ impl StatusExporter {
         }
         if with_history {
             let history = self.path.with_extension("history.jsonl");
-            let mut lines = match st.history_lines {
-                Some(n) => n,
-                // First append of this process: respect lines a previous
-                // process (a resumed run) already wrote.
-                None => std::fs::read_to_string(&history)
-                    .map(|text| text.lines().count() as u64)
-                    .unwrap_or(0),
-            };
-            if lines >= self.history_max {
-                let rotated = self.path.with_extension("history.jsonl.1");
-                match std::fs::rename(&history, &rotated) {
-                    Ok(()) => lines = 0,
-                    Err(err) => {
-                        eprintln!("qoc-telemetry: history rotate {history:?}: {err}")
-                    }
-                }
+            if let Err(err) = append_line(&history, &json) {
+                eprintln!("qoc-telemetry: status history {history:?}: {err}");
             }
-            match append_line(&history, &json) {
-                Ok(()) => st.history_lines = Some(lines + 1),
-                Err(err) => {
-                    st.history_lines = Some(lines);
-                    eprintln!("qoc-telemetry: status history {history:?}: {err}");
-                }
-            }
-        }
-        let prom_path = self.path.with_extension("prom");
-        if let Err(err) = write_atomic(&prom_path, &prom::render(&metrics)) {
-            eprintln!("qoc-telemetry: prometheus export to {prom_path:?}: {err}");
         }
     }
 
@@ -628,7 +584,6 @@ mod tests {
         }
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&history).ok();
-        std::fs::remove_file(path.with_extension("prom")).ok();
     }
 
     #[test]
@@ -659,58 +614,6 @@ mod tests {
         assert_eq!(steps, vec![1, 3, 6, 9]);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&history).ok();
-        std::fs::remove_file(path.with_extension("prom")).ok();
-    }
-
-    #[test]
-    fn prom_sibling_is_written() {
-        let path = tmp_status_path("prom");
-        // The sibling renders the *global* registry; make sure it holds at
-        // least one metric regardless of which tests ran before this one.
-        Registry::global().counter("t.export.prom_probe").inc();
-        let exporter = StatusExporter::new(path.clone(), 1);
-        exporter.on_step(core(1, 10));
-        let prom_text = std::fs::read_to_string(path.with_extension("prom")).unwrap();
-        assert!(prom_text.lines().any(|l| l.starts_with("# TYPE ")));
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(path.with_extension("history.jsonl")).ok();
-        std::fs::remove_file(path.with_extension("prom")).ok();
-    }
-
-    #[test]
-    fn history_rotates_on_cap_and_respects_existing_lines() {
-        let path = tmp_status_path("rotate");
-        let history = path.with_extension("history.jsonl");
-        let rotated = path.with_extension("history.jsonl.1");
-        std::fs::remove_file(&history).ok();
-        std::fs::remove_file(&rotated).ok();
-        let exporter = StatusExporter::new(path.clone(), 1).with_history_max(3);
-        for step in 1..=7 {
-            exporter.on_step(core(step, step));
-        }
-        // 7 appends at cap 3: rotations after lines 3 and 6, one line live.
-        let live = std::fs::read_to_string(&history).unwrap();
-        assert_eq!(live.lines().count(), 1, "live history holds the remainder");
-        let old = std::fs::read_to_string(&rotated).unwrap();
-        assert_eq!(old.lines().count(), 3, "rotation keeps the previous cap");
-        // Every surviving line is still a schema-valid snapshot.
-        for line in live.lines().chain(old.lines()) {
-            check_status_doc(&serde_json::from_str(line).unwrap()).expect("schema");
-        }
-        // A fresh exporter over the same files counts the pre-existing line
-        // instead of clobbering it (resumed run).
-        let exporter2 = StatusExporter::new(path.clone(), 1).with_history_max(3);
-        exporter2.on_step(core(8, 8));
-        exporter2.on_step(core(9, 9));
-        assert_eq!(
-            std::fs::read_to_string(&history).unwrap().lines().count(),
-            3,
-            "second process appended to the surviving lines"
-        );
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_file(&history).ok();
-        std::fs::remove_file(&rotated).ok();
-        std::fs::remove_file(path.with_extension("prom")).ok();
     }
 
     #[test]
@@ -759,7 +662,6 @@ mod tests {
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&log).ok();
         std::fs::remove_file(path.with_extension("history.jsonl")).ok();
-        std::fs::remove_file(path.with_extension("prom")).ok();
     }
 
     #[test]
@@ -776,6 +678,5 @@ mod tests {
         assert_eq!(std::fs::read_to_string(&path).unwrap(), first);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(path.with_extension("history.jsonl")).ok();
-        std::fs::remove_file(path.with_extension("prom")).ok();
     }
 }

@@ -16,7 +16,7 @@
 //! - **Live observability** — a bounded in-memory [`flight`] recorder
 //!   (`QOC_FLIGHT_RECORDER`, black-box crash dumps) and a live status
 //!   [`export`]er (`QOC_STATUS_FILE`/`QOC_STATUS_EVERY`) publishing atomic
-//!   JSON snapshots plus a Prometheus text sibling (see [`prom`]).
+//!   JSON snapshots plus a per-step history and an alert log.
 //!
 //! # Off by default, cheap when off
 //!
@@ -46,7 +46,6 @@ pub mod export;
 pub mod flight;
 pub mod metrics;
 pub mod profiler;
-pub mod prom;
 pub mod quantile;
 pub mod schema;
 pub mod series;

@@ -1,18 +1,17 @@
 //! The pinned JSONL schema contracts, as *code* shared by every consumer.
 //!
-//! Three artifact families come out of a traced run (`QOC_TRACE_FILE`):
+//! A traced run (`QOC_TRACE_FILE`) has one record stream, the **trace**:
+//! one [`Record`](crate::Record) object per line
+//! (`ts`/`kind`/`level`/`span`/`thread`/`fields`, plus `dur_ns` on spans).
+//! The **structured payloads** downstream tooling depends on are pinned per
+//! record name: the per-step `train.step` and per-checkpoint `train.eval`
+//! events (the run's step and eval records), the gradient-health
+//! `grad.health` / `prune.efficacy` events, and the differentiation spans.
+//! The status snapshots and alert log of a status-exported run are pinned
+//! here too.
 //!
-//! 1. the **trace** itself — one [`Record`](crate::Record) object per line
-//!    (`ts`/`kind`/`level`/`span`/`thread`/`fields`, plus `dur_ns` on
-//!    spans);
-//! 2. the **satellites** — `<stem>.steps.jsonl` (one `StepRecord` per
-//!    line) and `<stem>.evals.jsonl` (one `EvalRecord` per line);
-//! 3. two **structured event payloads** introduced by the gradient-health
-//!    layer — `grad.health` and `prune.efficacy` — whose field shapes
-//!    downstream tooling (`qoc-analyze`, CI gates) depends on.
-//!
-//! `validate_trace` and `qoc-analyze` both validate through this module so
-//! the contract lives in exactly one place; the golden tests below pin each
+//! `qoc-analyze` validates every artifact through this module so the
+//! contract lives in exactly one place; the golden tests below pin each
 //! shape against hand-written JSON so an accidental field rename breaks the
 //! build, not the analyzer.
 
@@ -172,17 +171,22 @@ pub const STATUS_DEVICE_FIELDS: &[(&str, FieldKind)] = &[
     ("device_ns", FieldKind::UInt),
 ];
 
-/// Required fields of one `<stem>.steps.jsonl` line (`StepRecord`).
-pub const STEP_RECORD_FIELDS: &[(&str, FieldKind)] = &[
+/// Required fields of a `train.step` event: one per optimization step. A
+/// superset of the engine's `StepRecord`, plus the step's own circuit-run
+/// cost (`runs_delta`) and gradient L2 norm.
+pub const TRAIN_STEP_FIELDS: &[(&str, FieldKind)] = &[
     ("step", FieldKind::UInt),
     ("loss", FieldKind::Num),
     ("lr", FieldKind::Num),
     ("evaluated_params", FieldKind::UInt),
     ("inferences", FieldKind::UInt),
+    ("runs_delta", FieldKind::UInt),
+    ("grad_norm", FieldKind::Num),
 ];
 
-/// Required fields of one `<stem>.evals.jsonl` line (`EvalRecord`).
-pub const EVAL_RECORD_FIELDS: &[(&str, FieldKind)] = &[
+/// Required fields of a `train.eval` event: one per validation checkpoint
+/// (the engine's `EvalRecord`).
+pub const TRAIN_EVAL_FIELDS: &[(&str, FieldKind)] = &[
     ("step", FieldKind::UInt),
     ("inferences", FieldKind::UInt),
     ("accuracy", FieldKind::Num),
@@ -251,6 +255,8 @@ pub fn check_trace_record(value: &Value) -> Result<(), String> {
             }
             Some("alloc.window") => check_fields(fields, ALLOC_WINDOW_FIELDS, "alloc.window")?,
             Some("run.header") => check_fields(fields, RUN_HEADER_FIELDS, "run.header")?,
+            Some("train.step") => check_fields(fields, TRAIN_STEP_FIELDS, "train.step")?,
+            Some("train.eval") => check_fields(fields, TRAIN_EVAL_FIELDS, "train.eval")?,
             Some(name @ ("alert.fired" | "alert.resolved")) => {
                 check_fields(fields, ALERT_EVENT_FIELDS, name)?
             }
@@ -327,22 +333,6 @@ pub fn check_alert_line(value: &Value) -> Result<(), String> {
         Some(other) => Err(format!("alert line: unknown kind {other:?}")),
         None => unreachable!("checked by ALERT_LINE_FIELDS"),
     }
-}
-
-/// Validates one parsed `<stem>.steps.jsonl` line.
-pub fn check_step_record(value: &Value) -> Result<(), String> {
-    if value.as_object().is_none() {
-        return Err("step record is not a JSON object".to_string());
-    }
-    check_fields(value, STEP_RECORD_FIELDS, "step record")
-}
-
-/// Validates one parsed `<stem>.evals.jsonl` line.
-pub fn check_eval_record(value: &Value) -> Result<(), String> {
-    if value.as_object().is_none() {
-        return Err("eval record is not a JSON object".to_string());
-    }
-    check_fields(value, EVAL_RECORD_FIELDS, "eval record")
 }
 
 #[cfg(test)]
@@ -457,19 +447,30 @@ mod tests {
             .contains("metric"));
     }
 
+    /// The pinned wire shape of a `train.step` event (the run's step
+    /// record): `qoc-analyze` reads step counts and the measured run
+    /// savings from it.
+    const GOLDEN_TRAIN_STEP: &str = r#"{"ts":4658175110,"kind":"event","level":"info","span":"train.step","thread":0,"fields":{"step":0,"loss":0.9302,"lr":0.3,"evaluated_params":8,"inferences":68,"runs_delta":68,"grad_norm":0.2504}}"#;
+
+    /// The pinned wire shape of a `train.eval` event (the run's eval
+    /// record).
+    const GOLDEN_TRAIN_EVAL: &str = r#"{"ts":4912000000,"kind":"event","level":"info","span":"train.eval","thread":0,"fields":{"step":8,"inferences":740,"accuracy":0.875}}"#;
+
     #[test]
     fn golden_step_and_eval_records_pass() {
-        let step = r#"{"step":0,"loss":0.9302,"lr":0.3,"evaluated_params":8,"inferences":68}"#;
-        assert_eq!(check_step_record(&parse(step)), Ok(()));
-        let eval = r#"{"step":8,"inferences":740,"accuracy":0.875}"#;
-        assert_eq!(check_eval_record(&parse(eval)), Ok(()));
+        assert_eq!(check_trace_record(&parse(GOLDEN_TRAIN_STEP)), Ok(()));
+        assert_eq!(check_trace_record(&parse(GOLDEN_TRAIN_EVAL)), Ok(()));
+        // A `train.step` *span* (the step's timing) carries no payload
+        // contract; only the event is the step record.
+        let span = r#"{"ts":9,"kind":"span","level":"debug","span":"train.step","thread":0,"dur_ns":5,"fields":{}}"#;
+        assert_eq!(check_trace_record(&parse(span)), Ok(()));
     }
 
     #[test]
     fn integral_floats_count_as_numbers() {
         // The vendored serializer writes 1.0 as "1" — Num must accept it.
-        let eval = r#"{"step":8,"inferences":740,"accuracy":1}"#;
-        assert_eq!(check_eval_record(&parse(eval)), Ok(()));
+        let eval = GOLDEN_TRAIN_EVAL.replace("\"accuracy\":0.875", "\"accuracy\":1");
+        assert_eq!(check_trace_record(&parse(&eval)), Ok(()));
     }
 
     #[test]
@@ -528,13 +529,21 @@ mod tests {
     }
 
     #[test]
-    fn satellite_violations_name_the_field() {
-        let step = r#"{"step":0,"loss":0.9,"lr":0.3,"inferences":68}"#;
-        assert!(check_step_record(&parse(step))
-            .unwrap_err()
-            .contains("evaluated_params"));
-        let eval = r#"{"step":8,"inferences":740,"accuracy":"high"}"#;
-        assert!(check_eval_record(&parse(eval))
+    fn step_and_eval_event_violations_name_the_field() {
+        // A renamed field fails with the missing name in the message, for
+        // every field of both payloads.
+        for (golden, spec) in [
+            (GOLDEN_TRAIN_STEP, TRAIN_STEP_FIELDS),
+            (GOLDEN_TRAIN_EVAL, TRAIN_EVAL_FIELDS),
+        ] {
+            for &(name, _) in spec {
+                let renamed = golden.replace(&format!("\"{name}\":"), "\"renamed\":");
+                let err = check_trace_record(&parse(&renamed)).unwrap_err();
+                assert!(err.contains(&format!("{name:?}")), "{name}: {err}");
+            }
+        }
+        let mistyped = GOLDEN_TRAIN_EVAL.replace("\"accuracy\":0.875", "\"accuracy\":\"high\"");
+        assert!(check_trace_record(&parse(&mistyped))
             .unwrap_err()
             .contains("accuracy"));
     }

@@ -1,6 +1,7 @@
 //! Traced training: the quickstart run with full telemetry enabled —
 //! console progress at `QOC_LOG=info` granularity, a JSONL trace under
-//! `results/`, and the run manifest + per-step records written next to it.
+//! `results/` (its `train.step` / `train.eval` events are the per-step and
+//! per-checkpoint records), and the run manifest written next to it.
 //!
 //! Run with: `cargo run --release --example traced_training`
 //!
@@ -63,14 +64,9 @@ fn main() -> ExitCode {
         result.best_accuracy, result.total_inferences
     );
 
-    // Show what landed on disk: the trace plus its sibling artifacts.
+    // Show what landed on disk: the trace plus its manifest.
     let trace = qoc::telemetry::trace_file_path().expect("trace path configured above");
-    for path in [
-        trace.clone(),
-        trace.with_extension("steps.jsonl"),
-        trace.with_extension("evals.jsonl"),
-        trace.with_extension("manifest.json"),
-    ] {
+    for path in [trace.clone(), trace.with_extension("manifest.json")] {
         let size = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
         println!("wrote {} ({size} bytes)", path.display());
     }

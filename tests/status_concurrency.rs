@@ -161,109 +161,3 @@ fn overlapping_engines_share_one_exporter_without_losing_snapshots() {
 
     std::fs::remove_dir_all(&dir).ok();
 }
-
-#[test]
-fn history_rotation_under_concurrency_loses_no_step_snapshots() {
-    const WRITERS: usize = 4;
-    const PER_WRITER: usize = 10;
-    const CAP: u64 = 25; // CAP < total ≤ 2·CAP, so one rotation and no loss
-
-    let dir = std::env::temp_dir().join(format!("qoc_status_rot_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let status_path = dir.join("status.json");
-    let history_path = status_path.with_extension("history.jsonl");
-    let rotated_path = status_path.with_extension("history.jsonl.1");
-    std::fs::remove_file(&history_path).ok();
-    std::fs::remove_file(&rotated_path).ok();
-
-    let exporter = StatusExporter::new(PathBuf::from(&status_path), 1).with_history_max(CAP);
-    std::thread::scope(|scope| {
-        for w in 0..WRITERS {
-            let exporter = &exporter;
-            scope.spawn(move || {
-                let run_id = run_id_for_seed(900 + w as u64);
-                for step in 0..PER_WRITER {
-                    exporter.on_step(StatusCore {
-                        run_id: run_id.clone(),
-                        state: "running",
-                        backend: "noiseless".to_string(),
-                        step: (step + 1) as u64,
-                        steps_total: PER_WRITER as u64,
-                        loss: 0.5,
-                        best_accuracy: 0.0,
-                        prune_phase: "none".to_string(),
-                        circuits_run: 1,
-                        total_shots: 64,
-                        device_ns: 1_000,
-                    });
-                }
-            });
-        }
-    });
-
-    // The live file stays under the cap; the rotated sibling holds exactly
-    // one cap's worth; together they preserve every publication in order.
-    let live = std::fs::read_to_string(&history_path).expect("live history exists");
-    let rotated = std::fs::read_to_string(&rotated_path).expect("rotated sibling exists");
-    let live_lines: Vec<&str> = live.lines().filter(|l| !l.trim().is_empty()).collect();
-    let rotated_lines: Vec<&str> = rotated.lines().filter(|l| !l.trim().is_empty()).collect();
-    assert_eq!(rotated_lines.len() as u64, CAP, "rotation fired off-cap");
-    assert!(
-        (live_lines.len() as u64) <= CAP,
-        "live history exceeded the history cap"
-    );
-    assert_eq!(
-        rotated_lines.len() + live_lines.len(),
-        WRITERS * PER_WRITER,
-        "rotation lost or duplicated step snapshots"
-    );
-    let mut last_snapshot = 0u64;
-    for line in rotated_lines.iter().chain(live_lines.iter()) {
-        let doc = parse_doc(line);
-        check_status_doc(&doc).expect("rotated history line passes the schema gate");
-        let snap = snapshot_of(&doc);
-        assert!(
-            snap > last_snapshot,
-            "snapshot counter not monotone across the rotation boundary"
-        );
-        last_snapshot = snap;
-    }
-
-    // A fresh exporter over the same stem counts the surviving lines and
-    // keeps rotating from there rather than restarting from zero.
-    let resumed = StatusExporter::new(PathBuf::from(&status_path), 1).with_history_max(CAP);
-    let live_before = live_lines.len() as u64;
-    for step in 0..(CAP - live_before + 1) {
-        resumed.on_step(StatusCore {
-            run_id: run_id_for_seed(999),
-            state: "running",
-            backend: "noiseless".to_string(),
-            step: step + 1,
-            steps_total: CAP,
-            loss: 0.25,
-            best_accuracy: 0.0,
-            prune_phase: "none".to_string(),
-            circuits_run: 1,
-            total_shots: 64,
-            device_ns: 1_000,
-        });
-    }
-    let live_after = std::fs::read_to_string(&history_path)
-        .unwrap()
-        .lines()
-        .count() as u64;
-    assert_eq!(
-        live_after, 1,
-        "resumed exporter must respect pre-existing history lines when rotating"
-    );
-    assert_eq!(
-        std::fs::read_to_string(&rotated_path)
-            .unwrap()
-            .lines()
-            .count() as u64,
-        CAP,
-        "second rotation must replace the .1 sibling at exactly the cap"
-    );
-
-    std::fs::remove_dir_all(&dir).ok();
-}

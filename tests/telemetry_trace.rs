@@ -1,8 +1,8 @@
 //! End-to-end telemetry: a PGP training run under `QOC_TRACE_FILE` must
 //! produce a parseable JSONL trace whose per-step circuit-run deltas
 //! empirically confirm the paper's `r·w_p/(w_a+w_p)` run-savings ratio, a
-//! run manifest with nonzero circuit-run counters, and per-step /
-//! per-checkpoint JSONL records.
+//! run manifest with nonzero circuit-run counters, and one `train.step` /
+//! `train.eval` event per step record / eval record of the run.
 //!
 //! The trace file is configured through the environment, which the process
 //! reads once on first telemetry use — so everything lives in a single test
@@ -199,15 +199,47 @@ fn pgp_trace_confirms_run_savings_ratio() {
         assert!((0.0..=1.0).contains(&recall));
     }
 
-    // Step/eval records persisted as JSONL next to the trace.
-    let step_records = parse_lines(&trace_path.with_extension("steps.jsonl"));
-    assert_eq!(step_records.len(), steps);
-    for (k, record) in step_records.iter().enumerate() {
-        assert_eq!(record.get("step").and_then(Value::as_u64), Some(k as u64));
-        assert!(record.get("loss").and_then(Value::as_f64).is_some());
+    // The trace is the run's step/eval record stream: the train.step
+    // events carry every StepRecord field in order, the train.eval events
+    // every EvalRecord.
+    assert_eq!(step_events.len(), result.steps.len());
+    for (k, (event, record)) in step_events.iter().zip(&result.steps).enumerate() {
+        let fields = event.get("fields").expect("fields");
+        assert_eq!(field_u64(event, "step"), k as u64);
+        assert_eq!(record.step, k);
+        assert_eq!(
+            fields.get("loss").and_then(Value::as_f64),
+            Some(record.loss)
+        );
+        assert_eq!(fields.get("lr").and_then(Value::as_f64), Some(record.lr));
+        assert_eq!(
+            field_u64(event, "evaluated_params"),
+            record.evaluated_params as u64
+        );
+        assert_eq!(field_u64(event, "inferences"), record.inferences);
     }
-    let eval_records = parse_lines(&trace_path.with_extension("evals.jsonl"));
-    assert_eq!(eval_records.len(), result.evals.len());
+    let eval_events: Vec<&Value> = records
+        .iter()
+        .filter(|r| {
+            r.get("span").and_then(Value::as_str) == Some("train.eval")
+                && r.get("kind").and_then(Value::as_str) == Some("event")
+        })
+        .collect();
+    assert_eq!(eval_events.len(), result.evals.len());
+    for (event, record) in eval_events.iter().zip(&result.evals) {
+        assert_eq!(field_u64(event, "step"), record.step as u64);
+        assert_eq!(field_u64(event, "inferences"), record.inferences);
+        assert_eq!(
+            event
+                .get("fields")
+                .and_then(|f| f.get("accuracy"))
+                .and_then(Value::as_f64),
+            Some(record.accuracy)
+        );
+    }
+    // No satellite record files are written next to the trace.
+    assert!(!trace_path.with_extension("steps.jsonl").exists());
+    assert!(!trace_path.with_extension("evals.jsonl").exists());
 
     // Manifest ties config, environment, and metrics together with nonzero
     // circuit-run counters.
