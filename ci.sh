@@ -39,10 +39,14 @@ stage_kernel_equivalence() {
     # Kraus interpreter on random circuits and noise models (ρ and outcome
     # probabilities ≤ 1e-12, every block trace-preserving), and FakeDevice
     # vs that oracle on the paper models and devices (seeded shot jobs bit
-    # for bit). Release mode: the proptest cases are heavy and the kernels
+    # for bit). The shot sampler's oracle runs with them: the CDF lookup vs
+    # the retired shot-sorted walk and a per-shot binary search on random,
+    # zero, slightly negative, subnormal and all-zero weights, plus a pinned
+    # histogram. Release mode: the proptest cases are heavy and the kernels
     # under test are the ones production runs actually execute.
     cargo test --offline --release -p qoc-sim \
         --test kernel_equivalence --test golden_states || return 1
+    cargo test --offline --release -p qoc-sim --test properties sampler_ || return 1
     cargo test --offline --release -p qoc-noise --test noisy_program || return 1
     cargo test --offline --release -p qoc-device --test noisy_equivalence
 }
@@ -212,7 +216,8 @@ stage_bench_smoke() {
     # >25% regression vs a committed baseline fails (serial Jacobian vs
     # BENCH_param_shift.json, fused QNN-4 state prep vs
     # BENCH_gate_kernels.json, adjoint-mode Jacobian vs BENCH_adjoint.json,
-    # one noisy MNIST-2 job on jakarta vs BENCH_density.json);
+    # one noisy MNIST-2 job on jakarta and one 1024-shot draw over 16
+    # outcomes vs BENCH_density.json);
     # tolerance is QOC_BENCH_TOLERANCE. Also statically gates the committed
     # BENCH_shot_alloc.json frontier claim (≥ 25% saved, no accuracy loss).
     cargo run --offline --release -p qoc-bench --bin bench_smoke

@@ -4,10 +4,12 @@
 //! The `density/kraus_2q` and `density/thermal_1q_on_4q` rows time the
 //! reference Kraus interpreter's primitives; the `density/device_run` rows
 //! time one 1024-shot job on the emulated device, which runs the circuit
-//! compiled into superoperator kernels at preparation. Run with
-//! `cargo bench -p qoc-bench --bench density`; the rows are dumped to
-//! `BENCH_density.json`, whose `device_run/mnist2_jakarta` row `bench_smoke`
-//! gates.
+//! compiled into superoperator kernels at preparation. The
+//! `readout/sample_counts/16x1024` row times the shot sampler alone: 1024
+//! shots from the 16-outcome distribution of the MNIST-4 circuit on jakarta.
+//! Run with `cargo bench -p qoc-bench --bench density`; the rows are dumped
+//! to `BENCH_density.json`, whose `density/device_run/mnist2_jakarta` and
+//! `readout/sample_counts/16x1024` rows `bench_smoke` gates.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -19,6 +21,7 @@ use qoc_nn::model::QnnModel;
 use qoc_noise::channels::{depolarizing_2q, thermal_relaxation};
 use qoc_noise::density::DensityMatrix;
 use qoc_sim::gates::GateKind;
+use qoc_sim::statevector::sample_counts_from_probabilities;
 
 fn bench_kraus_application(c: &mut Criterion) {
     let mut group = c.benchmark_group("density/kraus_2q");
@@ -77,6 +80,22 @@ fn bench_device_execution(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_sample_counts(c: &mut Criterion) {
+    let model = QnnModel::mnist4();
+    let device = FakeDevice::new(fake_jakarta());
+    let prepared = device.prepare(model.circuit());
+    let theta = model.symbol_vector(
+        &vec![0.2; model.num_params()],
+        &vec![0.7; model.input_dim()],
+    );
+    let probs = device.outcome_probabilities(&prepared, &theta);
+    assert_eq!(probs.len(), 16);
+    let mut rng = StdRng::seed_from_u64(1);
+    c.bench_function("readout/sample_counts/16x1024", |b| {
+        b.iter(|| std::hint::black_box(sample_counts_from_probabilities(&probs, 1024, &mut rng)))
+    });
+}
+
 fn dump_artifact(c: &mut Criterion) {
     let mut rows: Vec<qoc_bench::suite::Measurement> = c
         .take_results()
@@ -109,6 +128,7 @@ criterion_group!(
     bench_kraus_application,
     bench_thermal_channel,
     bench_device_execution,
+    bench_sample_counts,
     dump_artifact
 );
 criterion_main!(benches);

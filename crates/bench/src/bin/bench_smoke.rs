@@ -11,7 +11,10 @@
 //!   structured differentiation path of the shift planner.
 //! - `BENCH_density.json` — re-measures one 1024-shot MNIST-2 job on the
 //!   emulated ibmq_jakarta (the `density/device_run/mnist2_jakarta` row),
-//!   guarding the compiled noisy density path every device job runs.
+//!   guarding the compiled noisy density path every device job runs, and
+//!   one 1024-shot draw from the 16-outcome MNIST-4 distribution (the
+//!   `readout/sample_counts/16x1024` row), guarding the shot sampler every
+//!   shot-based job runs.
 //! - `BENCH_shot_alloc.json` — checks the committed shot-allocation
 //!   frontier (the `shot_alloc/mnist2_frontier` row): the controller must
 //!   have reached baseline accuracy with ≥ 25% fewer executed shots. This
@@ -46,7 +49,7 @@ use qoc_device::backend::{DiffMode, Execution, FakeDevice, NoiselessBackend, Qua
 use qoc_device::backends::{fake_jakarta, fake_santiago};
 use qoc_nn::model::QnnModel;
 use qoc_sim::fusion::FusedProgram;
-use qoc_sim::statevector::Statevector;
+use qoc_sim::statevector::{sample_counts_from_probabilities, Statevector};
 
 /// One regression gate: artifact path, row label, refresh command, and the
 /// re-measurement to compare against the committed `min_ns`.
@@ -158,6 +161,39 @@ fn measure_device_run_min_ns() -> f64 {
             Execution::Shots(1024),
             &mut rng,
         ));
+    };
+    for _ in 0..WARMUP * INNER {
+        run();
+    }
+    (0..REPS)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..INNER {
+                run();
+            }
+            start.elapsed().as_nanos() as f64 / INNER as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Re-samples 1024 shots from the 16-outcome distribution of the MNIST-4
+/// circuit on the emulated ibmq_jakarta (per-iteration cost ~10 µs, so
+/// each rep averages an inner loop) and returns the minimum per-call wall
+/// time in ns.
+fn measure_sample_counts_min_ns() -> f64 {
+    use rand::SeedableRng;
+    const INNER: usize = 500;
+    let model = QnnModel::mnist4();
+    let device = FakeDevice::new(fake_jakarta());
+    let prepared = device.prepare(model.circuit());
+    let theta = model.symbol_vector(
+        &vec![0.2; model.num_params()],
+        &vec![0.7; model.input_dim()],
+    );
+    let probs = device.outcome_probabilities(&prepared, &theta);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let mut run = || {
+        std::hint::black_box(sample_counts_from_probabilities(&probs, 1024, &mut rng));
     };
     for _ in 0..WARMUP * INNER {
         run();
@@ -498,7 +534,7 @@ fn main() -> ExitCode {
         },
         Err(_) => DEFAULT_TOLERANCE,
     };
-    let gates: [Gate; 4] = [
+    let gates: [Gate; 5] = [
         (
             &shift_path,
             "shift/jacobian_batched_santiago/1workers",
@@ -522,6 +558,12 @@ fn main() -> ExitCode {
             "density/device_run/mnist2_jakarta",
             "cargo bench -p qoc-bench --bench density",
             measure_device_run_min_ns,
+        ),
+        (
+            &density_path,
+            "readout/sample_counts/16x1024",
+            "cargo bench -p qoc-bench --bench density",
+            measure_sample_counts_min_ns,
         ),
     ];
     let mut rows: Vec<GateRow> = gates

@@ -40,7 +40,7 @@ use rand::RngCore;
 use qoc_sim::circuit::Circuit;
 use qoc_sim::diff::{adjoint_jacobian, prefix_shared_jacobian, JacobianRowSpec, ShiftOccurrence};
 use qoc_sim::fusion::FusedProgram;
-use qoc_sim::statevector::with_scratch_state;
+use qoc_sim::statevector::{sample_dense_counts_from_probabilities, with_scratch_state};
 
 use qoc_noise::model::NoiseModel;
 use qoc_noise::program::NoisyProgram;
@@ -360,6 +360,10 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
     fn outcome_probabilities(&self, prepared: &PreparedCircuit, theta: &[f64]) -> Vec<f64>;
 
     /// Shot-sampled outcome histogram over the logical qubits.
+    ///
+    /// [`Self::run_job`] samples `OutcomeDistribution` jobs from
+    /// [`Self::outcome_probabilities`] with the same sampler in dense form,
+    /// without calling this method.
     fn outcome_counts(
         &self,
         prepared: &PreparedCircuit,
@@ -397,16 +401,12 @@ pub trait QuantumBackend: std::fmt::Debug + Send + Sync {
             JobKind::OutcomeDistribution => match job.execution {
                 Execution::Exact => self.outcome_probabilities(job.prepared, &job.theta),
                 Execution::Shots(s) => {
-                    let counts = self.outcome_counts(job.prepared, &job.theta, s, &mut rng);
-                    let mut probs = vec![0.0; 1 << job.prepared.logical_qubits()];
-                    for (outcome, count) in counts {
-                        probs[outcome] += f64::from(count);
-                    }
+                    // The draws and bins of `outcome_counts`, kept dense:
+                    // each bin's count over the shot total.
+                    let probs = self.outcome_probabilities(job.prepared, &job.theta);
+                    let counts = sample_dense_counts_from_probabilities(&probs, s, &mut rng);
                     let total = f64::from(s);
-                    for p in &mut probs {
-                        *p /= total;
-                    }
-                    probs
+                    counts.iter().map(|&n| f64::from(n) / total).collect()
                 }
             },
         }

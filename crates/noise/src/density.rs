@@ -383,8 +383,10 @@ impl DensityMatrix {
 /// Samples a histogram of `shots` draws from an (unnormalized tolerated)
 /// probability vector.
 ///
-/// Delegates to the shot-sorted cumulative-walk sampler shared with the
-/// statevector path ([`qoc_sim::statevector::sample_counts_from_probabilities`]).
+/// Delegates to the CDF-lookup sampler shared with the statevector path
+/// ([`qoc_sim::statevector::sample_counts_from_probabilities`]); hot callers
+/// that reduce the histogram at once use its dense form,
+/// [`qoc_sim::statevector::sample_dense_counts_from_probabilities`].
 pub fn sample_from_probabilities<R: Rng + ?Sized>(
     probs: &[f64],
     shots: u32,

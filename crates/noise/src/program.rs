@@ -62,9 +62,11 @@ use qoc_sim::complex::Complex64;
 use qoc_sim::gates::GateKind;
 use qoc_sim::kernels::Kernel;
 use qoc_sim::matrix::CMatrix;
-use qoc_sim::statevector::expectation_z_from_counts;
+use qoc_sim::statevector::{
+    expectation_z_from_dense_counts, sample_dense_counts_from_probabilities,
+};
 
-use crate::density::{sample_from_probabilities, DensityMatrix};
+use crate::density::DensityMatrix;
 use crate::model::{GateNoise, NoiseModel};
 use crate::readout::{apply_confusion, ReadoutError};
 use crate::sim::{apply_noise, expectations_from_probabilities};
@@ -658,8 +660,8 @@ impl NoisyProgram {
         rng: &mut R,
     ) -> Vec<f64> {
         let probs = self.outcome_probabilities(theta);
-        let counts = sample_from_probabilities(&probs, shots, rng);
-        expectation_z_from_counts(&counts, self.num_qubits, shots)
+        let counts = sample_dense_counts_from_probabilities(&probs, shots, rng);
+        expectation_z_from_dense_counts(&counts, self.num_qubits, shots)
     }
 }
 

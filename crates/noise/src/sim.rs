@@ -4,9 +4,11 @@ use rand::Rng;
 
 use qoc_sim::circuit::Circuit;
 use qoc_sim::kernels::Kernel;
-use qoc_sim::statevector::expectation_z_from_counts;
+use qoc_sim::statevector::{
+    expectation_z_from_dense_counts, sample_dense_counts_from_probabilities,
+};
 
-use crate::density::{sample_from_probabilities, DensityMatrix};
+use crate::density::DensityMatrix;
 use crate::model::{GateNoise, NoiseModel, NoiseOpKind, WireSelect};
 use crate::readout::apply_confusion;
 
@@ -141,8 +143,8 @@ impl NoisyDensitySimulator {
         rng: &mut R,
     ) -> Vec<f64> {
         let probs = self.outcome_probabilities(circuit, theta);
-        let counts = sample_from_probabilities(&probs, shots, rng);
-        expectation_z_from_counts(&counts, circuit.num_qubits(), shots)
+        let counts = sample_dense_counts_from_probabilities(&probs, shots, rng);
+        expectation_z_from_dense_counts(&counts, circuit.num_qubits(), shots)
     }
 }
 

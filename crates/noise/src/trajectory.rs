@@ -138,10 +138,7 @@ impl TrajectorySimulator {
         for _ in 0..shots {
             let outcome = with_scratch_state(n, |sv| {
                 self.trajectory_into(circuit, &kernels, rng, sv);
-                *sv.sample_counts(1, rng)
-                    .first_key_value()
-                    .expect("one shot")
-                    .0
+                sv.sample_one(rng)
             });
             for (q, s) in sums.iter_mut().enumerate() {
                 let mut bit = (outcome >> q) & 1;
@@ -236,6 +233,19 @@ mod tests {
         let ez = traj.sampled_expectations_z(&c, &[], 20_000, &mut rng)[0];
         // ⟨Z⟩ = −(1 − 2·0.1) = −0.8.
         assert!((ez + 0.8).abs() < 0.02, "got {ez}");
+    }
+
+    #[test]
+    fn sampled_expectations_are_pinned_per_seed() {
+        // One outcome per trajectory: a change in the uniforms the shot
+        // draw consumes would shift every later trajectory's noise.
+        let traj = TrajectorySimulator::new(TrajectoryNoise::new(0.02, 0.05, 0.03));
+        let mut rng = StdRng::seed_from_u64(5);
+        let ez = traj.sampled_expectations_z(&test_circuit(), &[], 257, &mut rng);
+        assert_eq!(
+            ez,
+            vec![0.7042801556420234, 0.8521400778210116, 0.2607003891050584]
+        );
     }
 
     #[test]

@@ -313,75 +313,116 @@ impl Statevector {
     }
 
     /// Samples `shots` measurement outcomes in the computational basis and
-    /// returns a histogram of basis-state indices.
+    /// returns a histogram of basis-state indices (zero bins omitted).
     ///
-    /// Uniform draws happen in RNG order (one per shot, unchanged from the
-    /// historical linear-CDF implementation, so seeded streams reproduce the
-    /// same histograms), then a single shot-sorted cumulative walk over
-    /// `|αᵢ|²` assigns all outcomes in one pass — no CDF array, no per-shot
-    /// binary search.
+    /// One uniform per shot, in RNG order, located in the cumulative sum of
+    /// `|αᵢ|²` by binary search — see [`sample_counts_from_probabilities`].
     pub fn sample_counts<R: Rng + ?Sized>(&self, shots: u32, rng: &mut R) -> BTreeMap<usize, u32> {
-        sample_counts_by(self.amps.len(), |i| self.amps[i].norm_sqr(), shots, rng)
+        histogram(&self.sample_dense_counts(shots, rng))
+    }
+
+    /// [`Self::sample_counts`] as a dense `2ⁿ`-entry count vector: the same
+    /// draws and bins, without building a map.
+    fn sample_dense_counts<R: Rng + ?Sized>(&self, shots: u32, rng: &mut R) -> Vec<u32> {
+        sample_dense_by(self.amps.len(), |i| self.amps[i].norm_sqr(), shots, rng)
+    }
+
+    /// Samples one measurement outcome: the bin `sample_counts(1, rng)`
+    /// would fill, from the same single uniform, without allocating.
+    pub fn sample_one<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let prob = |i: usize| self.amps[i].norm_sqr();
+        let mut total = 0.0;
+        for i in 0..self.amps.len() {
+            total += prob(i);
+        }
+        let r = rng.gen::<f64>() * total.max(f64::MIN_POSITIVE);
+        // First index whose running prefix reaches r, clamped to the last
+        // bin: the CDF entry the batch sampler's search lands on.
+        let last = self.amps.len() - 1;
+        let mut idx = 0;
+        let mut prefix = prob(0);
+        while prefix < r && idx < last {
+            idx += 1;
+            prefix += prob(idx);
+        }
+        idx
     }
 
     /// Estimates per-qubit Pauli-Z expectations from `shots` sampled
     /// measurement outcomes — the statistic a real device reports.
     pub fn sampled_expectation_z<R: Rng + ?Sized>(&self, shots: u32, rng: &mut R) -> Vec<f64> {
-        let counts = self.sample_counts(shots, rng);
-        expectation_z_from_counts(&counts, self.num_qubits, shots)
+        let counts = self.sample_dense_counts(shots, rng);
+        expectation_z_from_dense_counts(&counts, self.num_qubits, shots)
     }
 }
 
-/// Shot-sorted cumulative-walk sampler over an indexed probability weight.
+/// CDF-lookup sampler over an indexed probability weight, returning dense
+/// per-bin counts.
 ///
-/// Draws the per-shot uniforms first (in RNG order, matching the historical
-/// per-shot draw sequence bit-for-bit), sorts them, and walks the running
-/// prefix sum once: total work is `O(len + shots·log shots)` instead of the
-/// old `O(len + shots·log len)` with a materialized CDF array, and the prefix
-/// accumulates in the same sequential order as before so outcome assignment
-/// is unchanged.
-fn sample_counts_by<R: Rng + ?Sized>(
+/// Builds the running prefix sum `cdf[i] = p₀ + … + pᵢ` (left to right),
+/// draws one uniform `r ∈ [0, total)` per shot in RNG order, and counts the
+/// first bin with `cdf[i] ≥ r`, clamped to the last bin. `O(len +
+/// shots·log len)`; for the 4–16 outcome histograms of the paper's circuits
+/// the search is a handful of comparisons per shot.
+fn sample_dense_by<R: Rng + ?Sized>(
     len: usize,
     prob: impl Fn(usize) -> f64,
     shots: u32,
     rng: &mut R,
-) -> BTreeMap<usize, u32> {
-    let mut counts = BTreeMap::new();
+) -> Vec<u32> {
+    let mut counts = vec![0u32; len];
     if len == 0 || shots == 0 {
         return counts;
     }
-    let mut total = 0.0;
+    let mut cdf = Vec::with_capacity(len);
+    let mut acc = 0.0;
     for i in 0..len {
-        total += prob(i);
+        acc += prob(i);
+        cdf.push(acc);
     }
-    let total = total.max(f64::MIN_POSITIVE);
-    let mut draws: Vec<f64> = (0..shots).map(|_| rng.gen::<f64>() * total).collect();
-    draws.sort_unstable_by(f64::total_cmp);
-    let mut idx = 0usize;
-    let mut prefix = prob(0);
-    for r in draws {
-        // First index whose prefix sum reaches r (clamped to the last bin) —
-        // the same bin the old binary search over the CDF selected.
-        while prefix < r && idx + 1 < len {
-            idx += 1;
-            prefix += prob(idx);
-        }
-        *counts.entry(idx).or_insert(0) += 1;
+    let total = acc.max(f64::MIN_POSITIVE);
+    let last = len - 1;
+    for _ in 0..shots {
+        let r = rng.gen::<f64>() * total;
+        counts[cdf.partition_point(|&c| c < r).min(last)] += 1;
     }
     counts
 }
 
+/// The nonzero bins of a dense count vector, as a histogram.
+fn histogram(counts: &[u32]) -> BTreeMap<usize, u32> {
+    counts
+        .iter()
+        .enumerate()
+        .filter(|&(_, &n)| n > 0)
+        .map(|(i, &n)| (i, n))
+        .collect()
+}
+
 /// Samples `shots` outcomes from an explicit probability slice (negative
-/// entries are clamped to zero, as produced by noisy density diagonals).
+/// entries are clamped to zero, as produced by noisy density diagonals) and
+/// returns a histogram (zero bins omitted).
 ///
-/// Shared by the density-matrix readout path so both simulators use the same
-/// shot-sorted sampler.
+/// Shared by the density-matrix readout path, so both simulators use the
+/// same CDF-lookup sampler and a seeded RNG yields the same histogram from
+/// the same probabilities.
 pub fn sample_counts_from_probabilities<R: Rng + ?Sized>(
     probs: &[f64],
     shots: u32,
     rng: &mut R,
 ) -> BTreeMap<usize, u32> {
-    sample_counts_by(probs.len(), |i| probs[i].max(0.0), shots, rng)
+    histogram(&sample_dense_counts_from_probabilities(probs, shots, rng))
+}
+
+/// [`sample_counts_from_probabilities`] as a dense count vector (one entry
+/// per probability): the same draws and bins, for callers that reduce the
+/// histogram right away.
+pub fn sample_dense_counts_from_probabilities<R: Rng + ?Sized>(
+    probs: &[f64],
+    shots: u32,
+    rng: &mut R,
+) -> Vec<u32> {
+    sample_dense_by(probs.len(), |i| probs[i].max(0.0), shots, rng)
 }
 
 thread_local! {
@@ -548,8 +589,26 @@ pub fn expectation_z_from_counts(
     num_qubits: usize,
     shots: u32,
 ) -> Vec<f64> {
+    expectation_z_from_bins(counts.iter().map(|(&s, &n)| (s, n)), num_qubits, shots)
+}
+
+/// [`expectation_z_from_counts`] over a dense count vector (index = basis
+/// state). Zero bins are skipped, so the sums accumulate in the same order
+/// as over the histogram and the result is bit-identical.
+pub fn expectation_z_from_dense_counts(counts: &[u32], num_qubits: usize, shots: u32) -> Vec<f64> {
+    let bins = counts.iter().enumerate().filter(|&(_, &n)| n > 0);
+    expectation_z_from_bins(bins.map(|(s, &n)| (s, n)), num_qubits, shots)
+}
+
+/// Per-qubit `(#zeros − #ones) / shots` over `(state, count)` bins in
+/// ascending state order.
+fn expectation_z_from_bins(
+    bins: impl Iterator<Item = (usize, u32)>,
+    num_qubits: usize,
+    shots: u32,
+) -> Vec<f64> {
     let mut ez = vec![0.0; num_qubits];
-    for (&state, &n) in counts {
+    for (state, n) in bins {
         for (q, e) in ez.iter_mut().enumerate() {
             if state & (1 << q) == 0 {
                 *e += n as f64;
@@ -780,8 +839,8 @@ mod tests {
 
     #[test]
     fn sample_counts_matches_linear_cdf_reference() {
-        // The shot-sorted walk must pick the same bins as the historical
-        // per-shot binary search over a materialized CDF.
+        // The partition-point lookup must pick the same bins as a per-shot
+        // `binary_search_by` over the same materialized CDF.
         let mut sv = Statevector::zero_state(3);
         sv.apply_1q(&GateKind::H.matrix(&[]), 0);
         sv.apply_1q(&GateKind::Ry.matrix(&[0.9]), 1);
@@ -809,6 +868,41 @@ mod tests {
             }
             assert_eq!(got, want, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn sample_one_matches_a_one_shot_histogram() {
+        let mut sv = Statevector::zero_state(3);
+        sv.apply_1q(&GateKind::H.matrix(&[]), 0);
+        sv.apply_1q(&GateKind::Ry.matrix(&[0.4]), 2);
+        sv.apply_2q(&GateKind::Cx.matrix(&[]), 0, 1);
+        for seed in 0..200u64 {
+            let mut a = StdRng::seed_from_u64(seed);
+            let mut b = StdRng::seed_from_u64(seed);
+            let one = sv.sample_one(&mut a);
+            let counts = sv.sample_counts(1, &mut b);
+            assert_eq!(counts, BTreeMap::from([(one, 1)]), "seed {seed}");
+            // Both consumed exactly one draw.
+            assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn dense_counts_reduce_like_the_histogram() {
+        let mut sv = Statevector::zero_state(3);
+        sv.apply_1q(&GateKind::H.matrix(&[]), 1);
+        sv.apply_1q(&GateKind::Ry.matrix(&[1.3]), 2);
+        let mut a = StdRng::seed_from_u64(3);
+        let mut b = StdRng::seed_from_u64(3);
+        let dense = sv.sample_dense_counts(1023, &mut a);
+        let counts = sv.sample_counts(1023, &mut b);
+        assert_eq!(dense.len(), 8);
+        assert!(dense.contains(&0), "some bins must be empty");
+        assert_eq!(histogram(&dense), counts);
+        assert_eq!(
+            expectation_z_from_dense_counts(&dense, 3, 1023),
+            expectation_z_from_counts(&counts, 3, 1023)
+        );
     }
 
     #[test]
